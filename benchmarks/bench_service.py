@@ -65,8 +65,7 @@ from repro.service import (
 from repro.service.client import ServiceClient
 
 CONCURRENCY = 32
-MAX_BATCH = 24  # below the cohort: windows close on count, never on time
-WINDOW_S = 0.01
+MAX_BATCH = 24  # below the cohort: a saturated lane dispatches capped batches
 NMF_RESTARTS = 2
 DURATION_S = 6.0
 REPEATS = 3  # best-of, alternating baseline/coalesced
@@ -84,7 +83,6 @@ def _flush() -> None:
             "numpy": np.__version__,
             "concurrency": CONCURRENCY,
             "max_batch": MAX_BATCH,
-            "window_s": WINDOW_S,
             "nmf_restarts": NMF_RESTARTS,
             "speedup_floor": SPEEDUP_FLOOR,
             "phases": _RESULTS,
@@ -98,7 +96,6 @@ def _config(*, coalesce: bool) -> ServiceConfig:
     return ServiceConfig(
         n_shards=N_SHARDS,
         coalesce=coalesce,
-        window_s=WINDOW_S,
         max_batch=MAX_BATCH,
     )
 
@@ -128,7 +125,6 @@ def _spawned_server(*extra_args: str, banner: list[str] | None = None):
     cmd = [
         sys.executable, "-m", "repro.cli", "serve",
         "--port", "0",
-        "--window-ms", str(WINDOW_S * 1e3),
         "--max-batch", str(MAX_BATCH),
         "--shards", str(N_SHARDS),
         *extra_args,

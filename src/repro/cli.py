@@ -38,7 +38,12 @@ from repro.viz import ascii_heatmap, ascii_histogram, render_radial_svg
 
 
 def _load(path: str):
-    courses = load_courses(path)
+    if str(path).endswith(".jsonl"):
+        from repro.corpus.stream import load_courses_jsonl
+
+        courses = load_courses_jsonl(path)
+    else:
+        courses = load_courses(path)
     if not courses:
         raise SystemExit(f"{path}: no courses")
     return courses
@@ -541,7 +546,6 @@ def _service_state(args):
         n_shards=args.shards,
         resident=not args.no_resident,
         coalesce=not args.no_coalesce,
-        window_s=args.window_ms / 1000.0,
         max_batch=args.max_batch,
         max_inflight_cheap=args.max_inflight_cheap,
         max_queue_cheap=args.max_queue_cheap,
@@ -571,40 +575,48 @@ def _service_state(args):
 
 
 def cmd_serve(args) -> int:
+    import signal
+
     from repro.service import ReproService, serve_forever
 
+    # A non-interactive shell starts background jobs with SIGINT ignored,
+    # and Python keeps an ignored SIGINT ignored; restore it so `kill
+    # -INT` drains a backgrounded server too.
+    signal.signal(signal.SIGINT, signal.default_int_handler)
     state, load_report = _service_state(args)
-    service = ReproService(state, host=args.host, port=args.port)
-    host, port = service.start()
-    if load_report is not None:
-        rebuilt = load_report.get("rebuilt_shards", [])
+
+    def announce(host: str, port: int) -> None:
+        if load_report is not None:
+            rebuilt = load_report.get("rebuilt_shards", [])
+            print(
+                f"warm restart from {args.state_dir} "
+                f"({len(rebuilt)} shard(s) rebuilt from JSONL)"
+                + (f": {rebuilt}" if rebuilt else ""),
+                file=sys.stderr,
+            )
+            excluded = 0
+        else:
+            excluded = len(state.ingest_report.excluded)
+            if args.state_dir:
+                print(f"state persisted to {args.state_dir}", file=sys.stderr)
         print(
-            f"warm restart from {args.state_dir} "
-            f"({len(rebuilt)} shard(s) rebuilt from JSONL)"
-            + (f": {rebuilt}" if rebuilt else ""),
+            f"serving {state.repo.n_courses} courses / "
+            f"{state.repo.n_materials} materials "
+            f"({excluded} excluded) on http://{host}:{port}",
             file=sys.stderr,
         )
-        excluded = 0
-    else:
-        excluded = len(state.ingest_report.excluded)
-        if args.state_dir:
-            print(f"state persisted to {args.state_dir}", file=sys.stderr)
-    print(
-        f"serving {state.repo.n_courses} courses / "
-        f"{state.repo.n_materials} materials "
-        f"({excluded} excluded) on http://{host}:{port}",
-        file=sys.stderr,
+        print(
+            f"  shards={state.repo.n_shards} "
+            f"resident={'on' if state.config.resident else 'off'} "
+            f"coalesce={'on' if state.config.coalesce else 'off'} "
+            f"deadline={args.deadline_ms:.0f}ms "
+            f"chaos_ops={'on' if state.config.chaos_ops else 'off'}",
+            file=sys.stderr,
+        )
+
+    serve_forever(
+        ReproService(state, host=args.host, port=args.port), on_ready=announce
     )
-    print(
-        f"  shards={state.repo.n_shards} "
-        f"resident={'on' if state.config.resident else 'off'} "
-        f"coalesce={'on' if state.config.coalesce else 'off'} "
-        f"window={state.config.window_s * 1e3:.0f}ms "
-        f"deadline={args.deadline_ms:.0f}ms "
-        f"chaos_ops={'on' if state.config.chaos_ops else 'off'}",
-        file=sys.stderr,
-    )
-    serve_forever(service)
     from repro.runtime import sanitize
 
     if sanitize.enabled():
@@ -933,19 +945,16 @@ def build_parser() -> argparse.ArgumentParser:
              "request coalescing and worker-resident shards",
     )
     sv.add_argument("courses", nargs="?", default=None,
-                    help="JSON corpus to serve (default: the canonical "
-                         "20-course dataset)")
+                    help="JSON or JSONL corpus to serve (default: the "
+                         "canonical 20-course dataset)")
     sv.add_argument("--host", default="127.0.0.1")
     sv.add_argument("--port", type=_nonneg_int, default=8750,
                     help="listen port; 0 picks a free one (default: 8750)")
     sv.add_argument("--shards", type=_positive_int, default=4,
                     help="material shard count (default: 4)")
-    sv.add_argument("--window-ms", type=_positive_float, default=10.0,
-                    help="request-coalescing window in milliseconds "
-                         "(default: 10)")
     sv.add_argument("--max-batch", type=_positive_int, default=32,
-                    help="dispatch a batch early once this many requests "
-                         "are queued (default: 32)")
+                    help="the largest batch one dispatch takes "
+                         "(default: 32)")
     sv.add_argument("--no-coalesce", action="store_true",
                     help="dispatch every request individually (the "
                          "load-test baseline)")

@@ -7,11 +7,13 @@ with a handful of specs; every search request ultimately calls
 time, none of the batched-kernel amortization built in PR 3 is
 reachable.  The broker restores it:
 
-* requests enter a **lane** (one per request family) and wait out a
-  bounded *coalescing window* — the window opens at the first arrival
-  and closes ``window_s`` later, or immediately once ``max_batch``
-  requests are queued;
-* the whole batch dispatches as **one** kernel call — NMF jobs grouped
+* requests enter a **lane** (one per request family).  The lane is
+  work-conserving: an idle lane dispatches a request the moment it
+  arrives, and requests that arrive while a batch is running queue up
+  and dispatch together — up to ``max_batch`` of them — as soon as the
+  kernel returns.  Nothing ever waits on a timer, so batches form only
+  from load the lane could not have served sooner anyway;
+* each batch dispatches as **one** kernel call — NMF jobs grouped
   by matrix are concatenated into a single ``run_nmf_fits`` (identical
   jobs dedupe to one solve), search jobs grouped by (tree, limit) are
   flattened into a single ``search_many``;
@@ -35,7 +37,6 @@ no-batching baseline for ``BENCH_service.json``.
 from __future__ import annotations
 
 import threading
-import time
 from concurrent.futures import Future
 from dataclasses import dataclass, field
 from typing import Any, Callable, Hashable, Sequence
@@ -135,26 +136,24 @@ def _fail(batch: list[tuple[Any, Future]], exc: BaseException) -> None:
 
 
 class _Lane:
-    """One coalescing queue with a dispatcher thread.
+    """One work-conserving queue with a dispatcher thread.
 
-    States: *idle* (queue empty, dispatcher waiting) → *collecting*
-    (first arrival opened the window; dispatcher sleeps until
-    first-arrival + ``window_s``, waking early if ``max_batch`` is
-    reached or the broker starts draining) → *dispatching* (batch handed
-    to the dispatch callable; new arrivals start the next window).
+    States: *idle* (queue empty, dispatcher waiting) → *dispatching*
+    (the dispatcher took everything queued, up to ``max_batch``, and
+    handed it to the dispatch callable).  Arrivals during a dispatch
+    queue up and form the next batch the moment the kernel returns; an
+    arrival at an idle lane dispatches at once, as a batch of one.
     """
 
     def __init__(
         self,
         name: str,
         dispatch: Callable[[list], None],
-        window_s: float,
         max_batch: int,
         breaker: CircuitBreaker | None = None,
     ) -> None:
         self.name = name
         self._dispatch = dispatch
-        self._window_s = window_s
         self._max_batch = max_batch
         self._breaker = breaker
         self._cond = make_condition("broker.lane")
@@ -175,7 +174,7 @@ class _Lane:
         return fut
 
     def close(self) -> None:
-        """Drain: queued and in-window jobs dispatch, then the thread exits."""
+        """Drain: queued jobs dispatch, then the thread exits."""
         with self._cond:
             self._closing = True
             self._cond.notify_all()
@@ -188,13 +187,6 @@ class _Lane:
                     self._cond.wait()
                 if not self._queue:  # closing and fully drained
                     return
-                # Collecting: window opened by the batch's first arrival.
-                deadline = time.perf_counter() + self._window_s
-                while len(self._queue) < self._max_batch and not self._closing:
-                    remaining = deadline - time.perf_counter()
-                    if remaining <= 0:
-                        break
-                    self._cond.wait(timeout=remaining)
                 batch = self._queue[: self._max_batch]
                 del self._queue[: self._max_batch]
             _run_batch(self.name, self._dispatch, batch, self._breaker)
@@ -275,7 +267,6 @@ class RequestBroker:
         self,
         *,
         search_many: Callable | None = None,
-        window_s: float = 0.01,
         max_batch: int = 32,
         coalesce: bool = True,
         kernel: str | None = "batched",
@@ -283,15 +274,12 @@ class RequestBroker:
         breaker_threshold: int = 5,
         breaker_recovery_s: float = 2.0,
     ) -> None:
-        if window_s < 0:
-            raise ValueError(f"window_s must be >= 0, got {window_s}")
         if max_batch < 1:
             raise ValueError(f"max_batch must be >= 1, got {max_batch}")
         self._search_many = search_many
         self._kernel = kernel
         self._workers = workers
         self.coalesce = coalesce
-        self.window_s = window_s
         self.max_batch = max_batch
         self.breakers: dict[str, CircuitBreaker] = {
             "nmf": CircuitBreaker(
@@ -308,11 +296,11 @@ class RequestBroker:
         self._search_lane: _Lane | None = None
         if coalesce:
             self._nmf_lane = _Lane(
-                "nmf", self._dispatch_nmf, window_s, max_batch,
+                "nmf", self._dispatch_nmf, max_batch,
                 self.breakers["nmf"],
             )
             self._search_lane = _Lane(
-                "search", self._dispatch_search, window_s, max_batch,
+                "search", self._dispatch_search, max_batch,
                 self.breakers["search"],
             )
 

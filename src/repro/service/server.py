@@ -53,6 +53,7 @@ import threading
 import time
 from concurrent.futures import TimeoutError as _FutureTimeout
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from typing import Callable
 from urllib.parse import parse_qsl, urlsplit
 
 from repro.runtime import sanitize
@@ -244,7 +245,6 @@ class ReproService:
         config = state.config
         self.broker = RequestBroker(
             search_many=self._search_many,
-            window_s=config.window_s,
             max_batch=config.max_batch,
             coalesce=config.coalesce,
             kernel=config.nmf_kernel,
@@ -322,7 +322,7 @@ class ReproService:
         self._httpd.server_close()  # joins non-daemon handler threads
         if self._thread is not None:
             self._thread.join(timeout=10.0)
-        self.broker.close()  # flush queued/coalescing batches
+        self.broker.close()  # flush queued batches
         self.state.close(force=force)
         metrics.inc("service.shutdowns")
         self.final_metrics = metrics.snapshot()
@@ -492,10 +492,19 @@ class ReproService:
         return doc
 
 
-def serve_forever(service: ReproService) -> None:
-    """Run until interrupted, then drain (the ``repro serve`` loop)."""
-    host, port = service.start()
+def serve_forever(
+    service: ReproService, on_ready: Callable[[str, int], None] | None = None
+) -> None:
+    """Run until interrupted, then drain (the ``repro serve`` loop).
+
+    ``on_ready(host, port)`` runs once the service is accepting, inside
+    the interrupt handling: a SIGINT that lands while it runs still
+    drains the service.
+    """
     try:
+        host, port = service.start()
+        if on_ready is not None:
+            on_ready(host, port)
         while True:
             time.sleep(3600)
     except KeyboardInterrupt:

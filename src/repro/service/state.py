@@ -66,6 +66,9 @@ class ServiceError(Exception):
 class ServiceConfig:
     """Tunables for one service instance.
 
+    Broker lanes are work-conserving: a request reaching an idle lane
+    dispatches at once, and requests that queue behind a running batch
+    form the next one, at most ``max_batch`` requests per dispatch.
     ``coalesce=False`` turns off micro-batching (requests still flow
     through the broker's dispatch code, one at a time) — the load-test
     baseline.  ``resident=False`` falls back to ship-the-shard fan-out.
@@ -86,7 +89,6 @@ class ServiceConfig:
     n_shards: int = 4
     resident: bool = True
     coalesce: bool = True
-    window_s: float = 0.01
     max_batch: int = 32
     nmf_kernel: str | None = "batched"
     default_k: int = 4

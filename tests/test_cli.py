@@ -1,8 +1,15 @@
 """Tests for the command-line interface (invoked in-process)."""
 
+import os
+import pathlib
+import signal
+import subprocess
+import sys
+
 import pytest
 
-from repro.cli import main
+import repro
+from repro.cli import _load, _service_state, build_parser, main
 
 
 @pytest.fixture(scope="module")
@@ -27,6 +34,73 @@ class TestCanonicalAndGenerate:
         assert main(["generate", "--seed", "3", "--out", str(out),
                      "--include-excluded"]) == 0
         assert "31 courses" in capsys.readouterr().out
+
+
+class TestJsonlCorpus:
+    """``generate`` writes either layout; every corpus reader takes both."""
+
+    @pytest.fixture(scope="class")
+    def layouts(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("layouts")
+        paths = {}
+        for suffix in ("json", "jsonl"):
+            paths[suffix] = root / f"corpus.{suffix}"
+            assert main(["generate", "--courses", "6", "--seed", "4",
+                         "--out", str(paths[suffix])]) == 0
+        return paths
+
+    def test_both_layouts_load_equal(self, layouts):
+        courses = _load(str(layouts["jsonl"]))
+        assert len(courses) == 6
+        assert courses == _load(str(layouts["json"]))
+
+    def test_service_state_boots_on_jsonl(self, layouts):
+        args = build_parser().parse_args(
+            ["serve", str(layouts["jsonl"]), "--shards", "2"]
+        )
+        state, load_report = _service_state(args)
+        try:
+            assert load_report is None
+            assert state.repo.n_courses == 6
+            assert state.repo.n_materials == sum(
+                len(c.materials) for c in _load(str(layouts["json"]))
+            )
+        finally:
+            state.close()
+
+    def test_analysis_command_reads_jsonl(self, layouts, capsys):
+        assert main(["types", str(layouts["jsonl"]), "-k", "2",
+                     "--seed", "1"]) == 0
+        assert "reconstruction error" in capsys.readouterr().out
+
+
+class TestServeSignals:
+    def test_sigint_drains_a_backgrounded_server(self):
+        # A non-interactive shell starts `repro serve &` with SIGINT
+        # ignored (as `trap "" INT` does here); `kill -INT` must still
+        # drain it.
+        src = str(pathlib.Path(repro.__file__).resolve().parents[1])
+        proc = subprocess.Popen(
+            ["sh", "-c", 'trap "" INT; exec "$0" "$@"', sys.executable,
+             "-m", "repro.cli", "serve", "--port", "0", "--shards", "2",
+             "--no-resident"],
+            env={**os.environ, "PYTHONPATH": src},
+            stderr=subprocess.PIPE, text=True,
+        )
+        try:
+            for _ in range(10):
+                line = proc.stderr.readline()
+                if "on http://" in line or not line:
+                    break
+            assert "on http://" in line, line
+            proc.send_signal(signal.SIGINT)  # mid-banner drains too
+            _, err = proc.communicate(timeout=60)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+        assert proc.returncode == 0
+        assert "drained and stopped" in err
 
 
 class TestAgreement:

@@ -14,16 +14,20 @@ Three contracts under test:
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import repro.runtime as runtime
+import repro.service.broker as broker_mod
 from repro.analysis import analyze_flavors, build_course_matrix, type_courses
 from repro.anchors.recommender import recommend_for_course
 from repro.factorization.nmf import nmf_restart_specs
@@ -59,7 +63,7 @@ def service(dataset):
     tree, courses, _ = dataset
     state = ServiceState(
         tree, courses,
-        config=ServiceConfig(n_shards=3, window_s=0.005),
+        config=ServiceConfig(n_shards=3),
     )
     with ReproService(state) as svc:
         yield svc
@@ -93,23 +97,108 @@ def _errs_job(a, seed):
     )
 
 
+def _search_job(*queries, tree=None, limit=7, finish=list):
+    return SearchJob(
+        queries=list(queries), tree=tree, limit=limit, finish=finish
+    )
+
+
+def _echo_search(queries, *, tree, limit):
+    return [[(q, limit)] for q in queries]
+
+
+class _Gate:
+    """Holds a broker lane so requests queue deterministically behind it.
+
+    Every backend call blocks in :meth:`enter` until :meth:`release`.
+    :meth:`hold` submits an occupant, waits until its dispatch is inside
+    the backend, and releases on exit: requests submitted inside the
+    ``with`` queue behind the running occupant and dispatch together as
+    the next batch.  ``calls`` records what each backend call was given.
+    """
+
+    def __init__(self) -> None:
+        self.calls: list = []
+        self._entered = threading.Event()
+        self._open = threading.Event()
+
+    def enter(self, what) -> None:
+        self.calls.append(what)
+        self._entered.set()
+        assert self._open.wait(timeout=60), "gate never released"
+
+    def release(self) -> None:
+        self._open.set()
+
+    @contextlib.contextmanager
+    def hold(self, submit_occupant):
+        try:
+            submit_occupant()
+            assert self._entered.wait(timeout=30), "occupant never dispatched"
+            yield
+        finally:
+            self.release()
+
+
+def _gated_nmf(gate: _Gate):
+    """``run_nmf_fits`` behind ``gate``; records each call's spec count."""
+
+    def run(matrix, specs, **kwargs):
+        gate.enter(len(specs))
+        return run_nmf_fits(matrix, specs, **kwargs)
+
+    return run
+
+
+def _gated_search(gate: _Gate, backend=_echo_search):
+    """``backend`` as ``search_many`` behind ``gate``; records each call."""
+
+    def search_many(queries, *, tree, limit):
+        gate.enter(list(queries))
+        return backend(queries, tree=tree, limit=limit)
+
+    return search_many
+
+
+@pytest.fixture()
+def nmf_gate(monkeypatch):
+    gate = _Gate()
+    monkeypatch.setattr(broker_mod, "run_nmf_fits", _gated_nmf(gate))
+    yield gate
+    gate.release()
+
+
+def _wait_until(predicate, what: str, timeout: float = 30.0) -> None:
+    deadline = time.perf_counter() + timeout
+    while not predicate():
+        assert time.perf_counter() < deadline, f"timed out: {what}"
+        time.sleep(0.005)
+
+
+def _queued(broker, lane: str = "nmf") -> int:
+    """Jobs waiting in a lane's queue behind the running batch."""
+    return len(getattr(broker, f"_{lane}_lane")._queue)
+
+
 class TestBroker:
     @pytest.fixture()
     def a(self):
         rng = np.random.default_rng(3)
         return np.abs(rng.normal(size=(18, 12)))
 
-    def test_concurrent_requests_coalesce_and_match_direct(self, a):
-        broker = RequestBroker(window_s=0.05, max_batch=32)
+    def test_concurrent_requests_coalesce_and_match_direct(self, a, nmf_gate):
+        broker = RequestBroker(max_batch=32)
         try:
             seeds = list(range(6))
-            with ThreadPoolExecutor(max_workers=6) as pool:
-                futs = list(pool.map(
-                    lambda s: broker.submit_nmf(_errs_job(a, s)), seeds
-                ))
-                got = [f.result(timeout=60) for f in futs]
+            with nmf_gate.hold(lambda: broker.submit_nmf(_errs_job(a, 99))):
+                with ThreadPoolExecutor(max_workers=6) as pool:
+                    futs = list(pool.map(
+                        lambda s: broker.submit_nmf(_errs_job(a, s)), seeds
+                    ))
+            got = [f.result(timeout=60) for f in futs]
         finally:
             broker.close()
+        assert nmf_gate.calls == [2, 12]  # occupant, then one batch of 6
         for seed, errs in zip(seeds, got):
             direct = [
                 float(b["err"])
@@ -119,22 +208,24 @@ class TestBroker:
         hist = metrics.histogram("broker.nmf.batch_size")
         assert hist is not None and hist.max_value > 1.0
 
-    def test_identical_requests_dedupe_to_one_solve(self, a):
-        broker = RequestBroker(window_s=0.05)
+    def test_identical_requests_dedupe_to_one_solve(self, a, nmf_gate):
+        broker = RequestBroker()
         try:
-            with ThreadPoolExecutor(max_workers=4) as pool:
-                futs = list(pool.map(
-                    lambda _: broker.submit_nmf(_errs_job(a, 9)), range(4)
-                ))
-                got = [f.result(timeout=60) for f in futs]
+            with nmf_gate.hold(lambda: broker.submit_nmf(_errs_job(a, 99))):
+                with ThreadPoolExecutor(max_workers=4) as pool:
+                    futs = list(pool.map(
+                        lambda _: broker.submit_nmf(_errs_job(a, 9)), range(4)
+                    ))
+            got = [f.result(timeout=60) for f in futs]
         finally:
             broker.close()
         assert got[0] == got[1] == got[2] == got[3]
+        assert nmf_gate.calls == [2, 2]  # four requests, one solve
         snap = metrics.snapshot()["counters"]
         assert snap.get("broker.nmf.deduped", 0) >= 1
 
     def test_inline_baseline_matches_coalesced(self, a):
-        coalesced = RequestBroker(window_s=0.05)
+        coalesced = RequestBroker()
         inline = RequestBroker(coalesce=False)
         try:
             lhs = coalesced.submit_nmf(_errs_job(a, 4)).result(timeout=60)
@@ -145,60 +236,175 @@ class TestBroker:
         assert lhs == rhs
 
     def test_search_burst_is_one_backend_call(self):
-        calls = []
-
-        def search_many(queries, *, tree, limit):
-            calls.append(len(queries))
-            return [[(q, limit)] for q in queries]
-
-        broker = RequestBroker(search_many=search_many, window_s=0.05)
+        gate = _Gate()
+        broker = RequestBroker(search_many=_gated_search(gate))
         try:
-            def job(i):
-                return SearchJob(
-                    queries=[f"q{i}", f"r{i}"], tree=None, limit=7,
-                    finish=lambda per_query: list(per_query),
-                )
-
-            with ThreadPoolExecutor(max_workers=5) as pool:
-                futs = list(pool.map(
-                    lambda i: broker.submit_search(job(i)), range(5)
-                ))
-                got = [f.result(timeout=30) for f in futs]
+            with gate.hold(lambda: broker.submit_search(_search_job("hold"))):
+                with ThreadPoolExecutor(max_workers=5) as pool:
+                    futs = list(pool.map(
+                        lambda i: broker.submit_search(
+                            _search_job(f"q{i}", f"r{i}")
+                        ),
+                        range(5),
+                    ))
+            got = [f.result(timeout=30) for f in futs]
         finally:
             broker.close()
-        assert calls == [10]  # one flattened backend call for the burst
+        # the occupant, then one flattened backend call for the burst
+        assert [len(c) for c in gate.calls] == [1, 10]
         for i, per_query in enumerate(got):
             assert per_query == [[(f"q{i}", 7)], [(f"r{i}", 7)]]
 
-    def test_request_failure_does_not_poison_batch(self, a):
-        broker = RequestBroker(window_s=0.05)
+    def test_max_batch_caps_each_dispatch(self):
+        gate = _Gate()
+        broker = RequestBroker(search_many=_gated_search(gate), max_batch=2)
+        try:
+            with gate.hold(lambda: broker.submit_search(_search_job("hold"))):
+                pending = [
+                    broker.submit_search(_search_job(f"q{i}"))
+                    for i in range(5)
+                ]
+            got = [p.result(timeout=30) for p in pending]
+        finally:
+            broker.close()
+        # 2, 2 and 1 jobs per dispatch, in arrival order
+        assert gate.calls == [["hold"], ["q0", "q1"], ["q2", "q3"], ["q4"]]
+        assert got == [[[(f"q{i}", 7)]] for i in range(5)]
+
+    def test_request_failure_does_not_poison_batch(self, a, nmf_gate):
+        broker = RequestBroker()
         bad = NmfJob(
             matrix=a, group=id(a), specs=_err_specs(a, 1),
             finish=lambda bundles: 1 / 0,
         )
         try:
-            with ThreadPoolExecutor(max_workers=2) as pool:
-                f_bad = pool.submit(broker.submit_nmf, bad).result()
-                f_ok = pool.submit(broker.submit_nmf, _errs_job(a, 2)).result()
+            with nmf_gate.hold(lambda: broker.submit_nmf(_errs_job(a, 99))):
+                with ThreadPoolExecutor(max_workers=2) as pool:
+                    f_bad = pool.submit(broker.submit_nmf, bad).result()
+                    f_ok = pool.submit(
+                        broker.submit_nmf, _errs_job(a, 2)
+                    ).result()
             with pytest.raises(ZeroDivisionError):
                 f_bad.result(timeout=60)
             assert f_ok.result(timeout=60)  # sibling request unharmed
         finally:
             broker.close()
+        assert nmf_gate.calls == [2, 4]  # both rode one batch
 
-    def test_close_drains_queued_jobs_then_rejects(self, a):
-        broker = RequestBroker(window_s=5.0)  # window longer than the test
-        fut = broker.submit_nmf(_errs_job(a, 5))
-        broker.close()  # must flush the in-window batch, not drop it
-        assert fut.result(timeout=60)
+    def test_close_drains_queued_jobs_then_rejects(self, a, nmf_gate):
+        broker = RequestBroker()
+        with nmf_gate.hold(lambda: broker.submit_nmf(_errs_job(a, 99))):
+            fut = broker.submit_nmf(_errs_job(a, 5))  # queued, not running
+            closer = threading.Thread(target=broker.close)
+            closer.start()
+            _wait_until(lambda: broker._nmf_lane._closing, "lane closing")
+            assert _queued(broker) == 1
+        closer.join(timeout=60)
+        assert not closer.is_alive()
+        assert fut.result(timeout=60)  # close flushed the queued job
         with pytest.raises(BrokerClosed):
             broker.submit_nmf(_errs_job(a, 6))
 
     def test_bad_parameters_rejected(self):
-        with pytest.raises(ValueError, match="window_s"):
-            RequestBroker(window_s=-0.1)
         with pytest.raises(ValueError, match="max_batch"):
             RequestBroker(max_batch=0)
+
+
+# -- coalescing is purely a throughput lever ---------------------------------
+
+_MATRICES = tuple(
+    np.abs(np.random.default_rng(seed).normal(size=shape))
+    for seed, shape in ((11, (9, 6)), (12, (7, 5)))
+)
+_SEARCH_GROUPS = (("tree-a", 3), ("tree-b", 5))
+# (lane, matrix or search group, seed): small seeds repeat, so batches
+# hit both the per-matrix grouping and the dedup of identical jobs.
+_JOB_DRAWS = st.tuples(
+    st.sampled_from(("nmf", "search")), st.integers(0, 1), st.integers(0, 2)
+)
+
+
+def _echo_tree_search(queries, *, tree, limit):
+    return [[(q, tree, limit)] for q in queries]
+
+
+def _bundle_values(bundles):
+    return [
+        (b["w"].tolist(), b["h"].tolist(), float(b["err"])) for b in bundles
+    ]
+
+
+def _boom(_raw):
+    return 1 / 0
+
+
+def _drawn_job(lane, group, seed, *, bad=False):
+    if lane == "nmf":
+        a = _MATRICES[group]
+        return NmfJob(
+            matrix=a, group=id(a), specs=_err_specs(a, seed),
+            finish=_boom if bad else _bundle_values,
+            dedup_key=(group, seed),
+        )
+    tree, limit = _SEARCH_GROUPS[group]
+    return _search_job(
+        f"q{seed}", f"r{seed}", tree=tree, limit=limit,
+        finish=_boom if bad else list,
+    )
+
+
+def _submit(broker, job):
+    if isinstance(job, NmfJob):
+        return broker.submit_nmf(job)
+    return broker.submit_search(job)
+
+
+def _outcome(pending):
+    try:
+        return "ok", pending.result(timeout=60)
+    except ZeroDivisionError:
+        return "raised", None
+
+
+class TestCoalescedEqualsInline:
+    @settings(max_examples=25, deadline=None)
+    @given(
+        draws=st.lists(_JOB_DRAWS, min_size=1, max_size=8),
+        bad=_JOB_DRAWS,
+        bad_at=st.integers(0, 8),
+    )
+    def test_answer_independent_of_batch_mates(self, draws, bad, bad_at):
+        jobs = [(d, False) for d in draws]
+        bad_at %= len(jobs) + 1
+        jobs.insert(bad_at, (bad, True))
+
+        runtime.reset()  # cold cache: the batch really solves
+        nmf_gate, search_gate = _Gate(), _Gate()
+        gated = _gated_nmf(nmf_gate)
+        with mock.patch.object(broker_mod, "run_nmf_fits", gated):
+            broker = RequestBroker(
+                search_many=_gated_search(search_gate, _echo_tree_search)
+            )
+            try:
+                with nmf_gate.hold(
+                    lambda: broker.submit_nmf(_drawn_job("nmf", 0, 99))
+                ), search_gate.hold(
+                    lambda: broker.submit_search(_drawn_job("search", 0, 99))
+                ):
+                    pending = [
+                        _submit(broker, _drawn_job(*d, bad=b)) for d, b in jobs
+                    ]
+                got = [_outcome(p) for p in pending]
+            finally:
+                broker.close()
+
+        runtime.reset()  # the inline answers must not come from that cache
+        inline = RequestBroker(coalesce=False, search_many=_echo_tree_search)
+        want = [
+            _outcome(_submit(inline, _drawn_job(*d, bad=b))) for d, b in jobs
+        ]
+        assert got == want
+        assert got[bad_at] == ("raised", None)
 
 
 # -- bit-identity ------------------------------------------------------------
@@ -412,11 +618,13 @@ class TestHttpSurface:
 
 
 class TestDraining:
-    def test_close_completes_inflight_and_reaps_workers(self, dataset):
+    def test_close_completes_inflight_and_reaps_workers(
+        self, dataset, nmf_gate
+    ):
         tree, courses, _ = dataset
         state = ServiceState(
             tree, courses,
-            config=ServiceConfig(n_shards=2, window_s=0.2, max_batch=64),
+            config=ServiceConfig(n_shards=2, max_batch=64),
         )
         service = ReproService(state)
         host, port = service.start()
@@ -425,20 +633,31 @@ class TestDraining:
 
         results = {}
 
-        def slow_request():
+        def queued_request():
             with ServiceClient(host, port) as c:
-                # lands in a 200ms coalescing window, so close() must
-                # wait for both the handler thread and the broker flush
                 results["typing"] = c.post(
                     "/typing", {"k": 3, "seed": 41, "n_restarts": 2}
                 )
 
-        t = threading.Thread(target=slow_request)
-        t.start()
-        time.sleep(0.05)  # request is in flight / in window
-        final = service.close()
+        def close():
+            results["final"] = service.close()
+
+        t = threading.Thread(target=queued_request)
+        closer = threading.Thread(target=close)
+        with nmf_gate.hold(lambda: service.broker.submit_nmf(
+            state.typing_job({"k": 3, "seed": 40, "n_restarts": 2})
+        )):
+            t.start()
+            # queued behind the held batch, so close() must wait for both
+            # the handler thread and the broker flush
+            _wait_until(lambda: _queued(service.broker) == 1, "request queued")
+            closer.start()
+            closer.join(timeout=0.2)
+            assert closer.is_alive()
+        closer.join(timeout=60)
         t.join(timeout=30)
-        assert not t.is_alive()
+        assert not closer.is_alive() and not t.is_alive()
+        final = results["final"]
         status, doc = results["typing"]
         assert status == 200 and doc["k"] == 3
 
@@ -575,11 +794,13 @@ def _raw_response(host, port, method, path, body=None):
 
 
 class TestOverload:
-    def test_deadline_504_leaves_batch_mates_unaffected(self, dataset):
-        # Both requests land in one 250ms coalescing window; the tight
-        # deadline expires first.  Its 504 must not disturb the
-        # batch-mate, which rides the same dispatch to a 200.
-        with _overload_service(dataset, window_s=0.25) as svc:
+    def test_deadline_504_leaves_batch_mates_unaffected(
+        self, dataset, nmf_gate
+    ):
+        # Both requests queue behind a held batch; the tight deadline
+        # expires there first.  Its 504 must not disturb the batch-mate,
+        # which rides the next dispatch to a 200.
+        with _overload_service(dataset) as svc:
             host, port = svc.address
             results = {}
 
@@ -595,9 +816,13 @@ class TestOverload:
             roomy = threading.Thread(target=req, args=(
                 "roomy", {"k": 3, "seed": 2102, "n_restarts": 2}, None,
             ))
-            tight.start()
-            roomy.start()
-            tight.join(timeout=30)
+            with nmf_gate.hold(lambda: svc.broker.submit_nmf(
+                svc.state.typing_job({"k": 3, "seed": 2100, "n_restarts": 2})
+            )):
+                tight.start()
+                roomy.start()
+                _wait_until(lambda: _queued(svc.broker) == 2, "both queued")
+                tight.join(timeout=30)
             roomy.join(timeout=60)
             status, doc = results["tight"]
             assert status == 504 and doc["deadline_exceeded"] is True
@@ -606,7 +831,7 @@ class TestOverload:
             assert metrics.get("broker.nmf.expired") >= 1
 
     def test_invalid_deadline_rejected(self, dataset):
-        with _overload_service(dataset, window_s=0.005) as svc:
+        with _overload_service(dataset) as svc:
             host, port = svc.address
             with ServiceClient(host, port) as c:
                 status, doc = c.post(
@@ -618,9 +843,9 @@ class TestOverload:
                 )
                 assert status == 400
 
-    def test_queue_full_sheds_503_with_retry_after(self, dataset):
+    def test_queue_full_sheds_503_with_retry_after(self, dataset, nmf_gate):
         with _overload_service(
-            dataset, window_s=0.3, max_inflight_heavy=1, max_queue_heavy=0,
+            dataset, max_inflight_heavy=1, max_queue_heavy=0,
         ) as svc:
             host, port = svc.address
             done = {}
@@ -632,15 +857,12 @@ class TestOverload:
                     )
 
             t = threading.Thread(target=occupy)
-            t.start()
-            gate = svc.gates["heavy"]
-            deadline = time.perf_counter() + 10.0
-            while gate.snapshot()["inflight"] == 0:
-                assert time.perf_counter() < deadline, "slot never claimed"
-                time.sleep(0.005)
-            status, headers, doc = _raw_response(
-                host, port, "POST", "/typing", {"k": 3, "seed": 2104},
-            )
+            # the occupant holds the only heavy slot while its batch is held
+            with nmf_gate.hold(t.start):
+                assert svc.gates["heavy"].snapshot()["inflight"] == 1
+                status, headers, doc = _raw_response(
+                    host, port, "POST", "/typing", {"k": 3, "seed": 2104},
+                )
             assert status == 503
             assert doc["shed"] is True and doc["reason"] == "queue_full"
             assert int(headers["Retry-After"]) >= 1
@@ -650,7 +872,7 @@ class TestOverload:
 
     def test_breaker_trip_serves_degraded_from_cache(self, dataset):
         with _overload_service(
-            dataset, window_s=0.005, chaos_ops=True,
+            dataset, chaos_ops=True,
             breaker_recovery_s=60.0,
         ) as svc:
             host, port = svc.address
@@ -684,11 +906,11 @@ class TestOverload:
         )
         assert status == 404
 
-    def test_drain_sheds_gate_queued_requests_fast(self, dataset):
+    def test_drain_sheds_gate_queued_requests_fast(self, dataset, nmf_gate):
         # Regression: a request queued *behind the admission gate* at
         # shutdown must get a fast 503, not hang the drain join.
         with _overload_service(
-            dataset, window_s=0.3, max_inflight_heavy=1, max_queue_heavy=8,
+            dataset, max_inflight_heavy=1, max_queue_heavy=8,
         ) as svc:
             host, port = svc.address
             results = {}
@@ -706,24 +928,23 @@ class TestOverload:
                     )
 
             t1 = threading.Thread(target=occupant)
-            t1.start()
-            gate = svc.gates["heavy"]
-            deadline = time.perf_counter() + 10.0
-            while gate.snapshot()["inflight"] == 0:
-                assert time.perf_counter() < deadline
-                time.sleep(0.005)
             t2 = threading.Thread(target=queued)
-            t2.start()
-            while gate.snapshot()["waiting"] == 0:
-                assert time.perf_counter() < deadline, "never queued"
-                time.sleep(0.005)
-
-            t0 = time.perf_counter()
-            svc.close()
+            closer = threading.Thread(target=svc.close)
+            gate = svc.gates["heavy"]
+            # the occupant holds the only heavy slot while its batch is held
+            with nmf_gate.hold(t1.start):
+                t2.start()
+                _wait_until(
+                    lambda: gate.snapshot()["waiting"] == 1, "never queued"
+                )
+                t0 = time.perf_counter()
+                closer.start()
+                t2.join(timeout=30)  # shed while the occupant still runs
+                assert not t2.is_alive()
+            closer.join(timeout=30)
             drain_s = time.perf_counter() - t0
             t1.join(timeout=30)
-            t2.join(timeout=30)
-            assert not t1.is_alive() and not t2.is_alive()
+            assert not t1.is_alive() and not closer.is_alive()
             # the in-flight occupant finished; the queued one was shed
             assert results["occupant"][0] == 200
             status, doc = results["queued"]

@@ -63,7 +63,7 @@ class TestServiceChaosWithSanitizer:
         # Fault-free ground truth, computed before the plan is armed.
         state = ServiceState(
             tree, courses,
-            config=ServiceConfig(n_shards=2, window_s=0.005),
+            config=ServiceConfig(n_shards=2),
         )
         expected = {
             seed: type_courses(state.matrix, 4, seed=seed, n_restarts=2)
@@ -108,7 +108,7 @@ class TestServiceChaosWithSanitizer:
         tree, courses, _ = dataset
         state = ServiceState(
             tree, courses,
-            config=ServiceConfig(n_shards=2, window_s=0.005),
+            config=ServiceConfig(n_shards=2),
         )
         with ReproService(state) as svc:
             host, port = svc.address
