@@ -14,8 +14,8 @@ must deliver:
   matrix: wall time, block count, and the peak-RSS delta, which must stay
   well under the dense size of ``A`` (the point of the kernel).  In smoke
   mode the corpus fits one block and the result is asserted bit-identical
-  to the in-memory serial kernel; at 10k the multi-block result is
-  asserted allclose.
+  to the in-memory engine (``run_nmf_fits``); at 10k the multi-block
+  result is asserted allclose.
 
 Sizes: ``--smoke`` runs 2k (CI); the full run covers 10k and 100k.
 Results stream into ``BENCH_corpus_scale.json`` size by size, so partial
@@ -195,22 +195,20 @@ def _run_size(n_materials: int, tree, tmp_path, smoke: bool) -> None:
           f"RSS delta {rss_delta:.0f}MB")
 
     if smoke:
-        # One block at this scale: the online kernel must replay the serial
-        # in-memory kernel bit for bit.
+        # One block at this scale: the online solve must replay the
+        # in-memory engine bit for bit.
         assert n_blocks == 1
         dense = np.asarray(mapped).copy()
-        serial = run_nmf_fits(dense, specs, kernel="serial", workers=1,
-                              use_cache=False)
+        in_memory = run_nmf_fits(dense, specs, use_cache=False)
         for key in ("w", "h", "err", "n_iter", "converged"):
-            assert np.array_equal(serial[0][key], bundles[0][key]), key
-        entry["nmf"]["bit_identical_to_serial"] = True
+            assert np.array_equal(in_memory[0][key], bundles[0][key]), key
+        entry["nmf"]["bit_identical_to_in_memory"] = True
     elif n_materials <= 10_000:
         dense = np.asarray(mapped).copy()
-        serial = run_nmf_fits(dense, specs, kernel="serial", workers=1,
-                              use_cache=False)
-        assert np.allclose(serial[0]["w"], bundles[0]["w"], atol=1e-8)
-        assert np.allclose(serial[0]["h"], bundles[0]["h"], atol=1e-8)
-        entry["nmf"]["allclose_to_serial"] = True
+        in_memory = run_nmf_fits(dense, specs, use_cache=False)
+        assert np.allclose(in_memory[0]["w"], bundles[0]["w"], atol=1e-8)
+        assert np.allclose(in_memory[0]["h"], bundles[0]["h"], atol=1e-8)
+        entry["nmf"]["allclose_to_in_memory"] = True
     else:
         # The point of the kernel: A is never materialized in RAM.  The
         # process may grow by factors + one row block, never by dense A.

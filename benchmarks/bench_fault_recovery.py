@@ -16,7 +16,7 @@ import pytest
 import repro.runtime as runtime
 from repro.factorization.nmf import nmf_restart_specs
 from repro.runtime.cache import ResultCache
-from repro.runtime.executor import parallel_map, run_nmf_fits
+from repro.runtime.executor import _POOL_MIN_ELEMS, parallel_map, run_nmf_fits
 from repro.runtime.faults import FaultPlan, parse_fault_plan
 
 
@@ -89,21 +89,27 @@ def test_recovery_is_bit_identical_and_bounded():
 def test_nmf_batch_survives_chaos_bit_identically():
     """The paper-facing entry point under the chaos-CI plan: same bits."""
     rng = np.random.default_rng(17)
-    a = np.abs(rng.standard_normal((60, 40)))
+    # At the pool threshold: a smaller matrix runs in process, where no
+    # fault is ever injected.
+    a = np.abs(rng.standard_normal((500, 400)))
+    assert a.size >= _POOL_MIN_ELEMS
     specs = nmf_restart_specs(
         a, 4, seed=0, solver="mu", init="random", n_restarts=6,
         max_iter=60, tol=0.0,
     )
     runtime.reset()
-    clean = run_nmf_fits(a, specs, workers=2, kernel="serial")
+    clean = run_nmf_fits(a, specs, workers=2, use_cache=False)
+    assert runtime.metrics.get("runtime.nmf_strategy.pool") == 1
 
     runtime.reset()
     runtime.configure(fault_plan=FaultPlan(
         seed=7, task_error=0.2, pool_crash=0.1, only_first_attempt=True,
     ))
     t0 = time.perf_counter()
-    faulty = run_nmf_fits(a, specs, workers=2, kernel="serial")
+    faulty = run_nmf_fits(a, specs, workers=2, use_cache=False)
     t_faulty = time.perf_counter() - t0
+    assert runtime.metrics.get("runtime.nmf_strategy.pool") == 1
+    assert runtime.failure_report(), "no fault was injected"
 
     for c, f in zip(clean, faulty):
         assert np.array_equal(c["w"], f["w"])

@@ -168,9 +168,7 @@ def test_served_bit_identity(corpus):
         ):
             params = {"k": 4, "seed": 901, "n_restarts": NMF_RESTARTS}
             job = job_of(params)
-            bundles = runtime.run_nmf_fits(
-                job.matrix, job.specs, kernel="batched"
-            )
+            bundles = runtime.run_nmf_fits(job.matrix, job.specs)
             want = job.finish(bundles)
             status, got = client.post(path, params)
             assert status == 200

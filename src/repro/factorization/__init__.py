@@ -7,18 +7,22 @@ is self-contained:
 * :class:`NMF` — non-negative matrix factorization (the paper's method):
   Lee–Seung multiplicative updates (Frobenius and KL objectives) and HALS
   coordinate descent, with random / NNDSVD / NNDSVDa initialization.
+  Every fit — one estimator call, a restart batch, an out-of-core solve —
+  runs the one stacked engine of :mod:`repro.factorization.kernels`.
 * :class:`PCA` — principal component analysis (named as an alternative in
   §5.3/§6).
 * :func:`classical_mds` / :func:`smacof` — multidimensional scaling, used by
   CS Materials' 2-D search-result maps (§3.1.2).
 * :class:`KMeans` — k-means++ (substrate for spectral co-clustering).
 * :class:`SpectralCoclustering` — the bi-clustered matrix view (§3.1.1).
-* :func:`batched_nmf_fits` — vectorized multi-restart NMF kernels (stacked
-  tensor updates, sparse-aware hot loops), bit-identical to :class:`NMF`.
+* :func:`batched_nmf_fits` — vectorized multi-restart NMF (stacked tensor
+  updates, sparse-aware hot loops), bit-identical to one :class:`NMF` fit
+  per restart; :func:`outofcore_nmf_fits` streams a memory-mapped ``A``
+  in row blocks.
 """
 
 from repro.factorization.nmf import NMF, nndsvd_init
-from repro.factorization.kernels import batched_nmf_fits, sparse_fit_single
+from repro.factorization.kernels import batched_nmf_fits
 from repro.factorization.outofcore import (
     outofcore_nmf_fits,
     row_blocks,
@@ -42,7 +46,6 @@ __all__ = [
     "nndsvd_init",
     "outofcore_nmf_fits",
     "row_blocks",
-    "sparse_fit_single",
     "stream_incidence_memmap",
     "write_incidence_memmap",
     "PCA",

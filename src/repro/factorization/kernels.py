@@ -1,31 +1,36 @@
-"""Batched, sparse-aware NMF kernels for multi-restart factorization.
+"""The NMF engine: batched, sparse-aware stacked updates.
 
 Every analysis in the pipeline — consensus matrices, cophenetic k-sweeps,
 stability scores, flavor typing — runs hundreds of *small* NMF restarts
 against one shared matrix.  Executing them one at a time wastes most of
 the wall time on per-call NumPy dispatch; this module fuses a whole
 restart batch into stacked ``(R, n, k)`` / ``(R, k, m)`` tensors and
-advances **all runs at once** with broadcasted ``matmul`` updates.
+advances **all runs at once** with broadcasted ``matmul`` updates.  It is
+the only NMF solver in the package: :meth:`NMF.fit_transform
+<repro.factorization.nmf.NMF.fit_transform>` solves a one-run stack,
+:func:`batched_nmf_fits` stacks a batch, and the out-of-core solver in
+:mod:`repro.factorization.outofcore` drives the same convergence loop
+with a row-blocked update.
 
 Guarantees and mechanics:
 
 * **Bit-identical results.**  Every stacked operation is chosen so that
   each run's slice goes through the exact floating-point op sequence of
-  the serial solver in :mod:`repro.factorization.nmf` (stacked ``matmul``
-  executes one BLAS GEMM per slice with the same operands; elementwise
-  ops are per-element identical; convergence checks evaluate the same
-  dense objective per run).  ``W``, ``H``, ``err``, ``n_iter`` and
-  ``converged`` match the serial restart loop bit for bit — which keeps
+  the textbook 2-D solver loop (stacked ``matmul`` executes one BLAS
+  GEMM per slice with the same operands; elementwise ops are
+  per-element identical; convergence checks evaluate the same dense
+  objective per run).  ``W``, ``H``, ``err``, ``n_iter`` and
+  ``converged`` are the same bits whatever the batch size — which keeps
   the content-addressed result cache and all downstream figures stable.
-* **Per-run convergence mask.**  Runs share the serial stopping rule
-  (relative objective decrease every ``check_every`` iterations); a run
-  that converges is frozen and dropped from the active batch while the
-  others continue, so the batch never does more per-run work than the
-  serial loop.
+* **Per-run convergence mask.**  Runs share one stopping rule (relative
+  objective decrease every ``check_every`` iterations); a run that
+  converges is frozen and dropped from the active batch while the
+  others continue, so the batch never does more per-run work than a
+  lone fit.
 * **Run chunking.**  Batches are split into chunks whose scratch
-  tensors fit a memory budget (``REPRO_NMF_BATCH_BUDGET`` elements,
-  default 4e6), keeping intermediates cache-resident; chunking cannot
-  change results because runs are independent.
+  tensors fit :data:`ELEMENT_BUDGET` float64 elements, keeping
+  intermediates cache-resident; chunking cannot change results because
+  runs are independent.
 * **Sparse-aware path.**  ``A`` may be a ``scipy.sparse`` matrix: the
   hot-loop products ``W.T @ A`` and ``A @ H.T`` become sparse matmuls
   batched through one reshaped SpMM per update, and the Frobenius
@@ -34,47 +39,47 @@ Guarantees and mechanics:
   residual is never materialized.  (KL requires the dense ``WH`` and is
   rejected for sparse input.)
 
-:func:`repro.runtime.run_nmf_fits` uses this engine as its default
-in-process execution strategy; see ``REPRO_NMF_KERNEL`` there.
+:func:`repro.runtime.run_nmf_fits` runs cache misses through
+:func:`batched_nmf_fits` in process, or one spec per process-pool task
+for large dense batches.
 """
 
 from __future__ import annotations
 
-import os
 import time
 from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 from scipy import sparse
 
-from repro.factorization.nmf import (
-    NMF,
-    _frobenius_error,
-    _kl_divergence,
-    _random_init,
-    nndsvd_init,
-)
+from repro.factorization.nmf import NMF
 from repro.runtime.metrics import metrics
-from repro.util.rng import as_rng
+from repro.util.validation import check_finite, check_matrix, check_nonnegative
 
 _EPS = np.finfo(np.float64).eps
 
-#: Scratch budget (float64 elements) per solver chunk; ~32 MB by default.
-_DEFAULT_BATCH_BUDGET = 4_000_000
+#: Memory budget in float64 elements (~32 MB): the scratch of one solver
+#: chunk here, and the rows of ``A`` resident per out-of-core row block.
+ELEMENT_BUDGET = 4_000_000
+
+Step = Callable[[np.ndarray, np.ndarray], None]
+Errors = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
-def batch_budget() -> int:
-    """Scratch-element budget per chunk (``REPRO_NMF_BATCH_BUDGET``)."""
-    raw = os.environ.get("REPRO_NMF_BATCH_BUDGET", "").strip()
-    if raw:
-        try:
-            return max(int(raw), 1)
-        except ValueError:
-            pass
-    return _DEFAULT_BATCH_BUDGET
+def _frobenius_error(a: np.ndarray, w: np.ndarray, h: np.ndarray) -> float:
+    """``||A - WH||_F`` (not squared), the error scikit-learn reports."""
+    return float(np.linalg.norm(a - w @ h))
 
 
-# -- sparse input handling ---------------------------------------------------
+def _kl_divergence(a: np.ndarray, w: np.ndarray, h: np.ndarray) -> float:
+    """Generalized KL divergence D(A || WH), with 0 log 0 := 0."""
+    wh = w @ h
+    mask = a > 0
+    div = float(np.sum(a[mask] * np.log(a[mask] / np.maximum(wh[mask], _EPS))))
+    return div - float(a.sum()) + float(wh.sum())
+
+
+# -- input handling ----------------------------------------------------------
 
 
 def as_sparse_matrix(a: Any) -> sparse.csr_array:
@@ -97,6 +102,13 @@ def validate_sparse(a: Any, name: str = "A") -> sparse.csr_array:
         if not np.isfinite(arr.data).all():
             raise ValueError(f"{name} must be finite (no NaN/inf)")
     return arr
+
+
+def validate_input(a: Any) -> np.ndarray | sparse.csr_array:
+    """The engine's view of ``A``: canonical CSR, or C-contiguous float64."""
+    if sparse.issparse(a):
+        return validate_sparse(a)
+    return np.ascontiguousarray(check_finite(check_nonnegative(check_matrix(a))))
 
 
 class _SparseOps:
@@ -141,11 +153,10 @@ class _SparseOps:
 def _dense_errors(
     a: np.ndarray, w_stack: np.ndarray, h_stack: np.ndarray, loss: str
 ) -> np.ndarray:
-    """Per-run objectives via the *serial* evaluation (bit-identical).
+    """Per-run objectives, each evaluated on its own 2-D slice.
 
-    Each run's error is computed with the exact NumPy calls of
-    ``NMF._objective`` on that run's slice; the slices of a C-contiguous
-    stack have the serial factors' layout, so the bits match.
+    The slices of a C-contiguous stack have a lone 2-D factor's layout,
+    so every run's error is the same bits at any batch size.
     """
     fn = _frobenius_error if loss == "frobenius" else _kl_divergence
     metrics.inc("kernel.dense_residual_evals", w_stack.shape[0])
@@ -159,15 +170,15 @@ def _masked_solve(
     w_stack: np.ndarray,
     h_stack: np.ndarray,
     model: NMF,
-    step: Callable[[np.ndarray, np.ndarray], None],
-    errors: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    step: Step,
+    errors: Errors,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Advance all runs with a per-run convergence mask.
 
     ``step`` applies one solver iteration in place to the active stacks;
-    ``errors`` evaluates the per-run objective.  Mirrors the serial
-    stopping rule exactly: check every ``check_every`` iterations,
-    freeze a run once its relative decrease drops below ``tol``.
+    ``errors`` evaluates the per-run objective.  The stopping rule:
+    check every ``check_every`` iterations, freeze a run once its
+    relative decrease drops below ``tol``.
     Returns ``(n_iter, converged, final_err)`` per run; ``final_err``
     reuses the objective evaluated on the converging check iteration
     (the factors have not moved since) and is computed fresh only for
@@ -213,16 +224,14 @@ def _masked_solve(
 
 # -- solver steps ------------------------------------------------------------
 #
-# Each step function applies ONE iteration of the corresponding serial
-# solver to the whole active batch.  The stacked matmul forms are chosen
-# for bit-identity with the 2-D serial ops: a (R, p, q) @ (R, q, s)
-# matmul runs one GEMM per slice with the same operands, and scalar
-# terms are added in the serial expression's order (left to right).
+# Each step function applies ONE solver iteration to the whole active
+# batch.  The stacked matmul forms are chosen for bit-identity with the
+# 2-D ops of the textbook loop: a (R, p, q) @ (R, q, s) matmul runs one
+# GEMM per slice with the same operands, and scalar terms are added in
+# the 2-D expression's order (left to right).
 
 
-def _make_mu_frobenius_step(
-    a: np.ndarray, model: NMF
-) -> Callable[[np.ndarray, np.ndarray], None]:
+def _make_mu_frobenius_step(a: np.ndarray, model: NMF) -> Step:
     a_b = a[None]
     l1, l2 = model.l1_reg, model.l2_reg
     bufs: dict[tuple[int, ...], tuple[np.ndarray, ...]] = {}
@@ -266,9 +275,7 @@ def _make_mu_frobenius_step(
     return step
 
 
-def _make_mu_kl_step(
-    a: np.ndarray, model: NMF
-) -> Callable[[np.ndarray, np.ndarray], None]:
+def _make_mu_kl_step(a: np.ndarray, model: NMF) -> Step:
     a_b = a[None]
     l1 = model.l1_reg
 
@@ -295,9 +302,7 @@ def _make_mu_kl_step(
     return step
 
 
-def _make_hals_step(
-    a: np.ndarray | _SparseOps, model: NMF
-) -> Callable[[np.ndarray, np.ndarray], None]:
+def _make_hals_step(a: np.ndarray | _SparseOps, model: NMF) -> Step:
     sparse_ops = isinstance(a, _SparseOps)
     a_b = None if sparse_ops else a[None]
     l1, l2 = model.l1_reg, model.l2_reg
@@ -329,9 +334,7 @@ def _make_hals_step(
     return step
 
 
-def _make_mu_frobenius_sparse_step(
-    ops: _SparseOps, model: NMF
-) -> Callable[[np.ndarray, np.ndarray], None]:
+def _make_mu_frobenius_sparse_step(ops: _SparseOps, model: NMF) -> Step:
     l1, l2 = model.l1_reg, model.l2_reg
 
     def step(w_act: np.ndarray, h_act: np.ndarray) -> None:
@@ -356,6 +359,22 @@ def _make_mu_frobenius_sparse_step(
 # for the non-negative factors involved, so the guard cannot change bits.
 
 
+def _step_pair(a: np.ndarray | sparse.csr_array, model: NMF) -> tuple[Step, Errors]:
+    """The in-memory ``(step, errors)`` pair for ``model``'s solver."""
+    if sparse.issparse(a):
+        ops = _SparseOps(a)
+        if model.solver == "mu":
+            return _make_mu_frobenius_sparse_step(ops, model), ops.errors
+        return _make_hals_step(ops, model), ops.errors
+    if model.solver == "hals":
+        step = _make_hals_step(a, model)
+    elif model.loss == "frobenius":
+        step = _make_mu_frobenius_step(a, model)
+    else:
+        step = _make_mu_kl_step(a, model)
+    return step, lambda ws, hs: _dense_errors(a, ws, hs, model.loss)
+
+
 def _chunk_runs(model: NMF, n: int, m: int, runs: int, *, is_sparse: bool) -> int:
     """Chunk size keeping per-chunk scratch under the element budget."""
     k = model.n_components
@@ -365,7 +384,7 @@ def _chunk_runs(model: NMF, n: int, m: int, runs: int, *, is_sparse: bool) -> in
         per_run = 2 * (k * m + n * k) + k * m  # wta/ath outputs + SpMM scratch
     else:
         per_run = 3 * (k * m + n * k)
-    return max(1, min(runs, batch_budget() // max(per_run, 1)))
+    return max(1, min(runs, ELEMENT_BUDGET // max(per_run, 1)))
 
 
 def _solve_stacked(
@@ -373,37 +392,42 @@ def _solve_stacked(
     model: NMF,
     w0_list: Sequence[np.ndarray],
     h0_list: Sequence[np.ndarray],
+    pair: tuple[Step, Errors] | None = None,
 ) -> list[dict[str, np.ndarray]]:
-    """Solve one homogeneous group of runs, chunked to the memory budget."""
+    """Solve one homogeneous group of runs, chunked to the memory budget.
+
+    ``a`` is validated input (see :func:`validate_input`) and the starts
+    are resolved; ``pair`` replaces the in-memory ``(step, errors)``
+    pair (the out-of-core solver passes a row-blocked one).  Each run is
+    charged its share of its chunk's wall time under ``nmf.fit``.
+    """
     is_sparse = sparse.issparse(a)
+    if is_sparse and model.loss != "frobenius":
+        raise ValueError(
+            "sparse input supports the frobenius loss only; "
+            "densify A for kullback-leibler"
+        )
+    step, errors = pair if pair is not None else _step_pair(a, model)
     runs = len(w0_list)
     n, m = a.shape
-    ops = _SparseOps(a) if is_sparse else None
     chunk = _chunk_runs(model, n, m, runs, is_sparse=is_sparse)
     out: list[dict[str, np.ndarray]] = []
     for lo in range(0, runs, chunk):
         hi = min(lo + chunk, runs)
+        t0 = time.perf_counter()
         w_stack = np.ascontiguousarray(np.stack(w0_list[lo:hi]))
         h_stack = np.ascontiguousarray(np.stack(h0_list[lo:hi]))
-        if is_sparse:
-            if model.solver == "mu":
-                step = _make_mu_frobenius_sparse_step(ops, model)
-            else:
-                step = _make_hals_step(ops, model)
-            errors = ops.errors
-        else:
-            if model.solver == "mu" and model.loss == "frobenius":
-                step = _make_mu_frobenius_step(a, model)
-            elif model.solver == "mu":
-                step = _make_mu_kl_step(a, model)
-            else:
-                step = _make_hals_step(a, model)
-            errors = lambda ws, hs: _dense_errors(a, ws, hs, model.loss)
         n_iter, converged, final_err = _masked_solve(
             w_stack, h_stack, model, step, errors
         )
+        per_fit = (time.perf_counter() - t0) / (hi - lo)
         metrics.inc("kernel.batched_runs", hi - lo)
+        metrics.inc("nmf.fits", hi - lo)
         for i in range(hi - lo):
+            metrics.record_time("nmf.fit", per_fit)
+            metrics.inc("nmf.iterations", int(n_iter[i]))
+            if converged[i]:
+                metrics.inc("nmf.converged")
             out.append(
                 {
                     "w": w_stack[i].copy(),
@@ -419,13 +443,6 @@ def _solve_stacked(
 # -- spec grouping and the public engine -------------------------------------
 
 
-def _split_spec(
-    spec: Mapping[str, Any],
-) -> tuple[dict[str, Any], np.ndarray | None, np.ndarray | None]:
-    params = {k: v for k, v in spec.items() if k not in ("W0", "H0")}
-    return params, spec.get("W0"), spec.get("H0")
-
-
 def _group_key(params: Mapping[str, Any]) -> tuple:
     """Hashable identity of a solver configuration (type-tagged reprs)."""
     return tuple(
@@ -433,160 +450,44 @@ def _group_key(params: Mapping[str, Any]) -> tuple:
     )
 
 
-def _validate_init_pair(
-    model: NMF, a_shape: tuple[int, int], w0: np.ndarray, h0: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Exactly ``NMF._initialize``'s custom-init validation and copy."""
-    from repro.util.validation import check_matrix, check_nonnegative
-
-    w = check_nonnegative(check_matrix(w0, "W0")).copy()
-    h = check_nonnegative(check_matrix(h0, "H0")).copy()
-    if w.shape != (a_shape[0], model.n_components):
-        raise ValueError(
-            f"W0 must be {(a_shape[0], model.n_components)}, got {w.shape}"
-        )
-    if h.shape != (model.n_components, a_shape[1]):
-        raise ValueError(
-            f"H0 must be {(model.n_components, a_shape[1])}, got {h.shape}"
-        )
-    return w, h
-
-
-def _fit_serial(
-    a: np.ndarray | sparse.csr_array,
-    params: Mapping[str, Any],
-    w0: np.ndarray | None,
-    h0: np.ndarray | None,
-) -> dict[str, np.ndarray]:
-    """One fit through the plain estimator (dense serial or sparse single)."""
-    model = NMF(**params)
-    w = model.fit_transform(a, W0=w0, H0=h0)
-    assert model.components_ is not None
-    return {
-        "w": w,
-        "h": model.components_,
-        "err": np.float64(model.reconstruction_err_),
-        "n_iter": np.int64(model.n_iter_),
-        "converged": np.bool_(model.converged_),
-    }
-
-
 def batched_nmf_fits(
     a: np.ndarray | sparse.spmatrix | sparse.sparray,
     specs: Sequence[Mapping[str, Any]],
 ) -> list[dict[str, np.ndarray]]:
-    """Fit a batch of NMF specs against one matrix with the batched engine.
+    """Fit a batch of NMF specs against one matrix with the stacked engine.
 
     Specs follow the :func:`repro.runtime.run_nmf_fits` convention: NMF
-    constructor keywords plus optional pre-drawn ``W0``/``H0``.  Specs
-    sharing a solver configuration are stacked and solved together;
-    specs that cannot batch (no explicit ``init="custom"`` starting
-    point, or a one-off configuration) fall back to the serial
-    estimator.  Output bundles are bit-identical to the serial restart
-    loop, in spec order.
+    constructor keywords plus optional pre-drawn ``W0``/``H0``.  Every
+    spec's start is resolved in spec order (``NMF._initialize``, so a
+    random or NNDSVD init draws exactly as a lone ``fit_transform``
+    would); specs sharing a solver configuration are then stacked and
+    solved together.  Output bundles come back in spec order, each the
+    same bits a one-spec batch would return.
     """
     specs = list(specs)
     if not specs:
         return []
+    a = validate_input(a)
     if sparse.issparse(a):
-        a = validate_sparse(a)
         metrics.inc("kernel.sparse_batches")
-    else:
-        from repro.util.validation import (
-            check_finite,
-            check_matrix,
-            check_nonnegative,
-        )
-
-        a = np.ascontiguousarray(check_finite(check_nonnegative(check_matrix(a))))
-    results: list[dict[str, np.ndarray] | None] = [None] * len(specs)
+    models: list[NMF] = []
+    starts: list[tuple[np.ndarray, np.ndarray]] = []
     groups: dict[tuple, list[int]] = {}
     with metrics.timer("kernel.batch"):
         metrics.inc("kernel.batches")
         for i, spec in enumerate(specs):
-            params, w0, h0 = _split_spec(spec)
-            if params.get("init") == "custom" and w0 is not None and h0 is not None:
-                groups.setdefault(_group_key(params), []).append(i)
-            else:
-                results[i] = _fit_serial(a, params, w0, h0)
-                metrics.inc("kernel.serial_fallback_runs")
+            params = {k: v for k, v in spec.items() if k not in ("W0", "H0")}
+            models.append(NMF(**params))
+            starts.append(models[i]._initialize(a, spec.get("W0"), spec.get("H0")))
+            groups.setdefault(_group_key(params), []).append(i)
         metrics.inc("kernel.groups", len(groups))
+        results: dict[int, dict[str, np.ndarray]] = {}
         for indices in groups.values():
-            params, _, _ = _split_spec(specs[indices[0]])
-            model = NMF(**params)  # validates exactly like the serial path
-            if len(indices) == 1 and not sparse.issparse(a):
-                i = indices[0]
-                _, w0, h0 = _split_spec(specs[i])
-                results[i] = _fit_serial(a, params, w0, h0)
-                continue
-            w0_list, h0_list = [], []
-            for i in indices:
-                _, w0, h0 = _split_spec(specs[i])
-                w, h = _validate_init_pair(model, a.shape, w0, h0)
-                w0_list.append(w)
-                h0_list.append(h)
-            if sparse.issparse(a) and model.loss != "frobenius":
-                raise ValueError(
-                    "sparse input supports the frobenius loss only; "
-                    "densify A for kullback-leibler"
-                )
-            t0 = time.perf_counter()
-            bundles = _solve_stacked(a, model, w0_list, h0_list)
-            per_fit = (time.perf_counter() - t0) / len(indices)
-            metrics.inc("nmf.fits", len(indices))
-            for i, bundle in zip(indices, bundles):
-                # Keep per-fit accounting comparable with the serial path:
-                # each run is charged its share of the batch solve.
-                metrics.record_time("nmf.fit", per_fit)
-                metrics.inc("nmf.iterations", int(bundle["n_iter"]))
-                if bool(bundle["converged"]):
-                    metrics.inc("nmf.converged")
-                results[i] = bundle
-    assert all(r is not None for r in results)
-    return results  # type: ignore[return-value]
-
-
-# -- single sparse fit (the NMF.fit_transform sparse route) ------------------
-
-
-def sparse_fit_single(
-    model: NMF,
-    a: Any,
-    *,
-    W0: np.ndarray | None = None,
-    H0: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray, float, int, bool]:
-    """Fit one sparse matrix with ``model``'s configuration.
-
-    Mirrors ``NMF.fit_transform`` semantics (init resolution included)
-    while keeping ``A`` sparse in the solver hot loop.  Returns
-    ``(W, H, err, n_iter, converged)``.
-    """
-    a = validate_sparse(a)
-    if model.loss != "frobenius":
-        raise ValueError(
-            "sparse input supports the frobenius loss only; "
-            "densify A for kullback-leibler"
-        )
-    if model.init == "custom":
-        if W0 is None or H0 is None:
-            raise ValueError("init='custom' requires W0 and H0")
-        w, h = _validate_init_pair(model, a.shape, W0, H0)
-    elif model.init == "random":
-        w, h = _random_init(a, model.n_components, as_rng(model.seed))
-    elif model.init in ("nndsvd", "nndsvda", "nndsvdar"):
-        w, h = nndsvd_init(
-            a, model.n_components, variant=model.init, seed=model.seed
-        )
-    else:
-        raise ValueError(f"unknown init {model.init!r}")
-    metrics.inc("kernel.sparse_fits")
-    bundles = _solve_stacked(a, model, [w], [h])
-    b = bundles[0]
-    return (
-        b["w"],
-        b["h"],
-        float(b["err"]),
-        int(b["n_iter"]),
-        bool(b["converged"]),
-    )
+            bundles = _solve_stacked(
+                a,
+                models[indices[0]],
+                [starts[i][0] for i in indices],
+                [starts[i][1] for i in indices],
+            )
+            results.update(zip(indices, bundles))
+    return [results[i] for i in range(len(specs))]

@@ -4,7 +4,7 @@ Given a non-negative matrix ``A`` (courses x curriculum tags in the paper),
 find non-negative ``W`` (courses x k) and ``H`` (k x tags) minimizing a
 divergence between ``A`` and ``W @ H``.
 
-Implemented solvers:
+Solvers (``solver=``):
 
 * ``"mu"`` — Lee & Seung multiplicative updates (NIPS 2000), for both the
   Frobenius and generalized Kullback-Leibler objectives.  Updates never
@@ -21,14 +21,12 @@ Conventions follow scikit-learn where sensible (``tol=1e-4``,
 ``max_iter=200``, ``components_`` holding ``H``) so the paper's
 "default parameters" setting translates directly.
 
-``fit_transform`` also accepts a ``scipy.sparse`` matrix for ``A``; the
-solve is then delegated to the sparse path of
-:mod:`repro.factorization.kernels`, which keeps ``A`` sparse in the hot
-loops (``W.T @ A`` / ``A @ H.T`` as sparse matmuls) and evaluates the
-Frobenius objective with the Gram trick instead of forming the dense
-residual.  Multi-restart batches dispatch through the same module's
-batched engine (see :func:`repro.runtime.run_nmf_fits`), with results
-bit-identical to this serial implementation.
+This module holds the estimator and the initializations; the update
+loops live in one place, the stacked engine of
+:mod:`repro.factorization.kernels`.  ``fit_transform`` resolves its start
+and solves it there as a one-run stack — dense or ``scipy.sparse`` ``A``
+alike — so a lone fit and every restart of a batched
+:func:`repro.runtime.run_nmf_fits` call return the same bits.
 """
 
 from __future__ import annotations
@@ -39,24 +37,10 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse
 
-from repro.runtime.metrics import metrics
 from repro.util.rng import RngLike, as_rng
 from repro.util.validation import check_finite, check_matrix, check_nonnegative
 
 _EPS = np.finfo(np.float64).eps
-
-
-def _frobenius_error(a: np.ndarray, w: np.ndarray, h: np.ndarray) -> float:
-    """``||A - WH||_F`` (not squared), the error scikit-learn reports."""
-    return float(np.linalg.norm(a - w @ h))
-
-
-def _kl_divergence(a: np.ndarray, w: np.ndarray, h: np.ndarray) -> float:
-    """Generalized KL divergence D(A || WH), with 0 log 0 := 0."""
-    wh = w @ h
-    mask = a > 0
-    div = float(np.sum(a[mask] * np.log(a[mask] / np.maximum(wh[mask], _EPS))))
-    return div - float(a.sum()) + float(wh.sum())
 
 
 def nndsvd_init(
@@ -140,7 +124,7 @@ def nmf_restart_specs(
     Randomness is resolved *here*, in the caller's generator order: each
     spec carries an explicit ``W0``/``H0`` starting point and is therefore
     fully deterministic, which is what lets
-    :func:`repro.runtime.run_nmf_fits` execute the batch serially, in a
+    :func:`repro.runtime.run_nmf_fits` execute the batch in process, in a
     process pool, or from the result cache with bit-identical output.
     ``init="random"`` draws ``n_restarts`` starting points from the shared
     generator exactly as the sequential restart loop would; deterministic
@@ -255,41 +239,16 @@ class NMF:
         runs through the sparse kernels (Frobenius loss only) without
         ever materializing a dense ``n x m`` array in the hot loop.
         """
-        if scipy.sparse.issparse(a):
-            from repro.factorization.kernels import sparse_fit_single
+        from repro.factorization.kernels import _solve_stacked, validate_input
 
-            with metrics.timer("nmf.fit"):
-                w, h, err, n_iter, converged = sparse_fit_single(
-                    self, a, W0=W0, H0=H0
-                )
-            self.components_ = h
-            self.reconstruction_err_ = err
-            self.n_iter_ = n_iter
-            self.converged_ = converged
-            metrics.inc("nmf.fits")
-            metrics.inc("nmf.iterations", self.n_iter_)
-            if self.converged_:
-                metrics.inc("nmf.converged")
-            return w
-        a = check_finite(check_nonnegative(check_matrix(a)))
-        with metrics.timer("nmf.fit"):
-            w, h, last_err = (
-                self._solve_mu(a, *self._initialize(a, W0, H0))
-                if self.solver == "mu"
-                else self._solve_hals(a, *self._initialize(a, W0, H0))
-            )
-        self.components_ = h
-        # The solver hands back the objective it evaluated on the
-        # converging check iteration (the factors have not moved since);
-        # only recompute when no such evaluation exists.
-        self.reconstruction_err_ = (
-            last_err if last_err is not None else self._objective(a, w, h)
-        )
-        metrics.inc("nmf.fits")
-        metrics.inc("nmf.iterations", self.n_iter_)
-        if self.converged_:
-            metrics.inc("nmf.converged")
-        return w
+        a = validate_input(a)
+        w, h = self._initialize(a, W0, H0)
+        (bundle,) = _solve_stacked(a, self, [w], [h])
+        self.components_ = bundle["h"]
+        self.reconstruction_err_ = float(bundle["err"])
+        self.n_iter_ = int(bundle["n_iter"])
+        self.converged_ = bool(bundle["converged"])
+        return bundle["w"]
 
     def fit(self, a: np.ndarray) -> "NMF":
         """Fit and return self (``W`` is discarded; use ``fit_transform``)."""
@@ -326,11 +285,6 @@ class NMF:
 
     # -- internals -----------------------------------------------------------
 
-    def _objective(self, a: np.ndarray, w: np.ndarray, h: np.ndarray) -> float:
-        if self.loss == "frobenius":
-            return _frobenius_error(a, w, h)
-        return _kl_divergence(a, w, h)
-
     def _initialize(
         self, a: np.ndarray, W0: np.ndarray | None, H0: np.ndarray | None
     ) -> tuple[np.ndarray, np.ndarray]:
@@ -349,71 +303,3 @@ class NMF:
         if self.init in ("nndsvd", "nndsvda", "nndsvdar"):
             return nndsvd_init(a, self.n_components, variant=self.init, seed=self.seed)
         raise ValueError(f"unknown init {self.init!r}")
-
-    def _solve_mu(
-        self, a: np.ndarray, w: np.ndarray, h: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, float | None]:
-        """MU iterations; returns ``(W, H, last_err)``.
-
-        ``last_err`` is the objective evaluated on the converging check
-        iteration (``None`` if the run hit ``max_iter`` or ``tol == 0``)
-        — callers can reuse it instead of re-deriving the final error.
-        """
-        err_init = self._objective(a, w, h)
-        err_prev = err_init
-        last_err: float | None = None
-        self.converged_ = False
-        for it in range(1, self.max_iter + 1):
-            if self.loss == "frobenius":
-                h *= (w.T @ a) / (w.T @ w @ h + self.l2_reg * h + self.l1_reg + _EPS)
-                w *= (a @ h.T) / (w @ (h @ h.T) + self.l2_reg * w + self.l1_reg + _EPS)
-            else:
-                wh = w @ h + _EPS
-                h *= (w.T @ (a / wh)) / (w.T.sum(axis=1, keepdims=True) + self.l1_reg + _EPS)
-                wh = w @ h + _EPS
-                w *= ((a / wh) @ h.T) / (h.sum(axis=1)[None, :] + self.l1_reg + _EPS)
-            self.n_iter_ = it
-            if self.tol > 0 and it % self.check_every == 0:
-                err = self._objective(a, w, h)
-                if (err_prev - err) / max(err_init, _EPS) < self.tol:
-                    self.converged_ = True
-                    last_err = err
-                    break
-                err_prev = err
-        return w, h, last_err
-
-    def _solve_hals(
-        self, a: np.ndarray, w: np.ndarray, h: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, float | None]:
-        """HALS: cyclic rank-one updates of W's columns and H's rows.
-
-        Returns ``(W, H, last_err)`` like :meth:`_solve_mu`.
-        """
-        err_init = _frobenius_error(a, w, h)
-        err_prev = err_init
-        last_err: float | None = None
-        self.converged_ = False
-        for it in range(1, self.max_iter + 1):
-            # Update H rows given W.
-            wtw = w.T @ w
-            wta = w.T @ a
-            for j in range(self.n_components):
-                grad = wta[j] - wtw[j] @ h - self.l1_reg
-                denom = wtw[j, j] + self.l2_reg + _EPS
-                h[j] = np.maximum(h[j] + grad / denom, 0.0)
-            # Update W columns given H.
-            hht = h @ h.T
-            aht = a @ h.T
-            for j in range(self.n_components):
-                grad = aht[:, j] - w @ hht[:, j] - self.l1_reg
-                denom = hht[j, j] + self.l2_reg + _EPS
-                w[:, j] = np.maximum(w[:, j] + grad / denom, 0.0)
-            self.n_iter_ = it
-            if self.tol > 0 and it % self.check_every == 0:
-                err = _frobenius_error(a, w, h)
-                if (err_prev - err) / max(err_init, _EPS) < self.tol:
-                    self.converged_ = True
-                    last_err = err
-                    break
-                err_prev = err
-        return w, h, last_err

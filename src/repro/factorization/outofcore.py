@@ -1,10 +1,10 @@
-"""Out-of-core online NMF: chunked multiplicative updates over row blocks.
+"""Out-of-core online NMF: multiplicative updates over row blocks.
 
-The serial and batched kernels need the full dense ``A`` (and a dense
-residual) in RAM.  At 100k+ materials × the CS2013 tag universe that is
-hundreds of megabytes per copy — and at 1M rows it simply does not fit.
-This module factorizes ``A`` streamed from a memory-mapped ``.npy`` file
-(or any dense array) without ever materializing more than one row block:
+The in-memory engine needs the full dense ``A`` (and a dense residual)
+in RAM.  At 100k+ materials × the CS2013 tag universe that is hundreds
+of megabytes per copy — and at 1M rows it simply does not fit.  This
+module factorizes ``A`` streamed from a memory-mapped ``.npy`` file (or
+any dense array) without ever materializing more than one row block:
 
 * every GEMM of the MU update decomposes over row blocks —
   ``W.T @ A = Σ_b W_b.T @ A_b`` and ``W.T @ W = Σ_b W_b.T @ W_b`` for the
@@ -15,57 +15,43 @@ This module factorizes ``A`` streamed from a memory-mapped ``.npy`` file
   (``madvise(MADV_DONTNEED)``), so resident memory stays O(block +
   factors), not O(A), even mid-pass.
 
-**Bit-identity contract.**  When ``A`` fits in one block (its element
-count is within :func:`block_budget`), the solve runs the *exact*
-serial :meth:`repro.factorization.nmf.NMF._solve_mu` operation order —
-same GEMMs, same ``np.linalg.norm`` objective, same convergence
-schedule — so results are bit-identical to the in-memory kernels and the
-content-addressed cache stays strategy-oblivious.  With multiple blocks
-the update is the same mathematical fixed point computed in a different
-summation order; results agree to within float accumulation error
-(``allclose``), and the cache keys are unchanged — pick a budget per
-deployment, not per call, if bit-stable caches matter.
+The blocked update is a ``(step, errors)`` pair for the engine's
+convergence loop (:mod:`repro.factorization.kernels`), so the stopping
+rule and the final-error rule are the in-memory ones.
 
-Wired as ``kernel="online"`` behind
-:func:`repro.runtime.executor.run_nmf_fits`.
+**Bit-identity contract.**  When ``A`` fits in one block (its element
+count is within ``kernels.ELEMENT_BUDGET``), the solve *is* the
+in-memory engine — results are bit-identical to
+:func:`repro.runtime.run_nmf_fits`, so the content-addressed cache stays
+oblivious to which solver filled it.  With multiple blocks the update is
+the same mathematical fixed point computed in a different summation
+order; results agree to within float accumulation error (``allclose``),
+and the cache keys are unchanged — pick a budget per deployment, not per
+call, if bit-stable caches matter.
 """
 
 from __future__ import annotations
 
 import mmap
-import os
 from typing import Any, Mapping, Sequence
 
 import numpy as np
 import scipy.sparse
 
+from repro.factorization import kernels
 from repro.factorization.nmf import _EPS, NMF
 from repro.runtime.metrics import metrics
-
-#: Default block budget: elements of ``A`` resident per block (~30 MB of
-#: float64).  Overridable via ``REPRO_OOC_BUDGET``.
-_DEFAULT_BUDGET = 4_000_000
-
-
-def block_budget() -> int:
-    """Effective per-block element budget (``REPRO_OOC_BUDGET`` or default)."""
-    raw = os.environ.get("REPRO_OOC_BUDGET", "").strip()
-    if raw:
-        try:
-            value = int(raw)
-        except ValueError:
-            return _DEFAULT_BUDGET
-        if value >= 1:
-            return value
-    return _DEFAULT_BUDGET
 
 
 def row_blocks(
     n_rows: int, n_cols: int, budget: int | None = None
 ) -> list[tuple[int, int]]:
-    """``[start, end)`` row ranges holding ≤ ``budget`` elements each."""
+    """``[start, end)`` row ranges holding ≤ ``budget`` elements each.
+
+    ``budget`` defaults to ``kernels.ELEMENT_BUDGET``.
+    """
     if budget is None:
-        budget = block_budget()
+        budget = kernels.ELEMENT_BUDGET
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
     if n_rows == 0:
@@ -101,32 +87,14 @@ def _blocked_error(
     return float(np.sqrt(acc))
 
 
-def _ooc_mu_frobenius(
-    a: np.ndarray,
-    model: NMF,
-    w: np.ndarray,
-    h: np.ndarray,
-    blocks: list[tuple[int, int]],
-) -> tuple[np.ndarray, np.ndarray, float | None, int, bool]:
-    """Blocked MU solve; single-block replays ``_solve_mu`` exactly."""
-    single = len(blocks) == 1
-    l2, l1 = model.l2_reg, model.l1_reg
-    if single:
-        err_init = float(np.linalg.norm(a - w @ h))
-    else:
-        err_init = _blocked_error(a, w, h, blocks)
-        _drop_pages(a)
-    err_prev = err_init
-    last_err: float | None = None
-    converged = False
-    n_iter = 0
-    k = w.shape[1]
-    for it in range(1, model.max_iter + 1):
-        if single:
-            # Exact serial op order (see NMF._solve_mu): bit-identical.
-            h *= (w.T @ a) / (w.T @ w @ h + l2 * h + l1 + _EPS)
-            w *= (a @ h.T) / (w @ (h @ h.T) + l2 * w + l1 + _EPS)
-        else:
+def _blocked_mu_pair(
+    a: np.ndarray, model: NMF, blocks: list[tuple[int, int]]
+) -> tuple[kernels.Step, kernels.Errors]:
+    """Row-blocked MU Frobenius ``(step, errors)`` for the engine loop."""
+    l2, l1, k = model.l2_reg, model.l1_reg, model.n_components
+
+    def step(w_act: np.ndarray, h_act: np.ndarray) -> None:
+        for w, h in zip(w_act, h_act):
             wta = np.zeros((k, h.shape[1]))
             wtw = np.zeros((k, k))
             for b0, b1 in blocks:
@@ -145,23 +113,17 @@ def _ooc_mu_frobenius(
                 w_blk = w[b0:b1]
                 w_blk *= (a_blk @ h.T) / (w_blk @ hht + l2 * w_blk + l1 + _EPS)
                 _drop_pages(a)
-        n_iter = it
-        if model.tol > 0 and it % model.check_every == 0:
-            if single:
-                err = float(np.linalg.norm(a - w @ h))
-            else:
-                err = _blocked_error(a, w, h, blocks)
-                _drop_pages(a)
-            if (err_prev - err) / max(err_init, _EPS) < model.tol:
-                converged = True
-                last_err = err
-                break
-            err_prev = err
-    return w, h, last_err, n_iter, converged
+
+    def errors(w_stack: np.ndarray, h_stack: np.ndarray) -> np.ndarray:
+        return np.array(
+            [_blocked_error(a, w, h, blocks) for w, h in zip(w_stack, h_stack)]
+        )
+
+    return step, errors
 
 
 def _check_blocked(a: np.ndarray, blocks: list[tuple[int, int]]) -> None:
-    """Blocked counterpart of the serial path's finite/non-negative checks."""
+    """Blocked counterpart of the in-memory finite/non-negative checks."""
     if not isinstance(a, np.ndarray) or a.ndim != 2:
         raise ValueError("A must be a 2-D array")
     for b0, b1 in blocks:
@@ -213,27 +175,10 @@ def outofcore_nmf_fits(
             )
         with metrics.timer("oocnmf.fit"):
             w, h = model._initialize(a, spec.get("W0"), spec.get("H0"))
-            w, h, last_err, n_iter, converged = _ooc_mu_frobenius(
-                a, model, w, h, blocks
-            )
-            if last_err is not None:
-                err = last_err
-            elif len(blocks) == 1:
-                err = float(np.linalg.norm(a - w @ h))
-            else:
-                err = _blocked_error(a, w, h, blocks)
-                _drop_pages(a)
+            pair = None if len(blocks) == 1 else _blocked_mu_pair(a, model, blocks)
+            out.extend(kernels._solve_stacked(a, model, [w], [h], pair))
         metrics.inc("oocnmf.fits")
         metrics.inc("oocnmf.blocks", len(blocks))
-        out.append(
-            {
-                "w": w,
-                "h": h,
-                "err": np.float64(err),
-                "n_iter": np.int64(n_iter),
-                "converged": np.bool_(converged),
-            }
-        )
     return out
 
 

@@ -41,21 +41,17 @@ from repro.runtime.cache import (
 )
 from repro.runtime.executor import (
     DEFAULT_TASK_RETRIES,
-    NMF_KERNELS,
     FailureEvent,
     FailureReport,
     ResidentUnavailable,
     ResidentWorker,
     TaskError,
     failure_report,
-    nmf_kernel_from_env,
     parallel_map,
-    resolve_nmf_kernel,
     resolve_task_retries,
     resolve_task_timeout,
     resolve_workers,
     run_nmf_fits,
-    set_default_nmf_kernel,
     set_default_task_retries,
     set_default_task_timeout,
     set_default_workers,
@@ -100,7 +96,6 @@ __all__ = [
     "HistogramStat",
     "InjectedTaskError",
     "MetricsRegistry",
-    "NMF_KERNELS",
     "NMF_KEY_PARAMS",
     "ResidentUnavailable",
     "ResidentWorker",
@@ -124,17 +119,14 @@ __all__ = [
     "set_sanitize",
     "matrix_digest",
     "metrics",
-    "nmf_kernel_from_env",
     "parallel_map",
     "parse_fault_plan",
     "reset",
-    "resolve_nmf_kernel",
     "resolve_task_retries",
     "resolve_task_timeout",
     "resolve_workers",
     "result_cache",
     "run_nmf_fits",
-    "set_default_nmf_kernel",
     "set_default_task_retries",
     "set_default_task_timeout",
     "set_default_workers",
@@ -153,7 +145,6 @@ def configure(
     cache_dir: str | os.PathLike | None | object = ...,
     cache_enabled: bool | None = None,
     cache_max_entries: int | None = None,
-    nmf_kernel: str | None = None,
     task_timeout: float | None | object = ...,
     task_retries: int | None = None,
     fault_plan: FaultPlan | str | None | object = ...,
@@ -163,10 +154,8 @@ def configure(
 
     ``workers=None`` leaves worker resolution to the environment
     (``REPRO_WORKERS``); ``cache_dir=None`` switches the cache to
-    memory-only; ``nmf_kernel`` pins the NMF execution strategy
-    (``auto``/``batched``/``serial``, see :func:`run_nmf_fits`);
-    ``task_timeout`` sets the per-task wall-clock budget in seconds
-    (``None`` clears it back to ``REPRO_TASK_TIMEOUT``/off);
+    memory-only; ``task_timeout`` sets the per-task wall-clock budget in
+    seconds (``None`` clears it back to ``REPRO_TASK_TIMEOUT``/off);
     ``task_retries`` bounds per-task recovery attempts (0 disables
     retries); ``fault_plan`` arms fault injection (a :class:`FaultPlan`
     or ``REPRO_FAULTS``-syntax string; ``None`` disarms, deferring to
@@ -178,8 +167,6 @@ def configure(
     """
     if workers is not None:
         set_default_workers(workers)
-    if nmf_kernel is not None:
-        set_default_nmf_kernel(nmf_kernel)
     if task_timeout is not ...:
         set_default_task_timeout(task_timeout)  # type: ignore[arg-type]
     if task_retries is not None:

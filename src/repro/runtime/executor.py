@@ -42,14 +42,13 @@ Worker selection: explicit ``workers=`` argument > ``configure(workers=)``
 the CPU count) > serial.  Timeouts and retries resolve the same way from
 ``REPRO_TASK_TIMEOUT`` / ``REPRO_TASK_RETRIES``.
 
-NMF batches additionally choose an in-process *kernel strategy* (see
-:func:`run_nmf_fits`): the default ``auto`` runs the whole batch through
-the vectorized engine in :mod:`repro.factorization.kernels` — one Python
-loop iteration advancing every restart — and reserves the process pool
-for large dense matrices where BLAS time dwarfs dispatch overhead.
-``REPRO_NMF_KERNEL`` / ``--nmf-kernel`` / ``configure(nmf_kernel=...)``
-override the choice; every strategy returns bit-identical bundles, so
-the cache layer is oblivious to which one ran.
+NMF batches (:func:`run_nmf_fits`) run their cache misses through the
+stacked engine in :mod:`repro.factorization.kernels` — one Python loop
+iteration advancing every restart — in this process, and fan out one
+spec per pool task only for large dense matrices with ``workers > 1``,
+where BLAS time dwarfs pickling.  Both paths run the same engine and
+return bit-identical bundles, so the cache layer is oblivious to which
+one ran.
 """
 
 from __future__ import annotations
@@ -709,45 +708,9 @@ def _collect(
                 raise TaskError(i, exc, traceback.format_exc()) from exc
 
 
-#: Valid NMF kernel strategies (see :func:`run_nmf_fits`).
-NMF_KERNELS = ("auto", "batched", "serial", "online")
-
-#: Kernel strategy set via :func:`repro.runtime.configure`.
-_configured_nmf_kernel: str | None = None
-
-#: ``auto`` only pays process-pool overhead when the matrix is at least
-#: this many elements — below it, batch dispatch beats pickling.
+#: The process pool only pays off for a matrix of at least this many
+#: elements — below it, in-process batch dispatch beats pickling.
 _POOL_MIN_ELEMS = 200_000
-
-
-def set_default_nmf_kernel(kernel: str | None) -> None:
-    """Set (or with ``None`` clear) the configured NMF kernel strategy."""
-    global _configured_nmf_kernel
-    if kernel is not None and kernel not in NMF_KERNELS:
-        raise ValueError(
-            f"nmf_kernel must be one of {NMF_KERNELS}, got {kernel!r}"
-        )
-    _configured_nmf_kernel = kernel
-
-
-def nmf_kernel_from_env() -> str | None:
-    """Parse ``REPRO_NMF_KERNEL``; ``None`` if unset or invalid."""
-    raw = os.environ.get("REPRO_NMF_KERNEL", "").strip().lower()
-    return raw if raw in NMF_KERNELS else None
-
-
-def resolve_nmf_kernel(kernel: str | None = None) -> str:
-    """Effective kernel strategy: argument > configure() > env > ``auto``."""
-    if kernel is not None:
-        if kernel not in NMF_KERNELS:
-            raise ValueError(
-                f"nmf_kernel must be one of {NMF_KERNELS}, got {kernel!r}"
-            )
-        return kernel
-    if _configured_nmf_kernel is not None:
-        return _configured_nmf_kernel
-    env = nmf_kernel_from_env()
-    return env if env is not None else "auto"
 
 
 def spawn_seeds(seed: Any, n: int) -> list[np.random.SeedSequence]:
@@ -778,19 +741,10 @@ def spawn_seeds(seed: Any, n: int) -> list[np.random.SeedSequence]:
 
 def _fit_nmf_task(payload: tuple) -> dict[str, np.ndarray]:
     """Worker-side single fit.  Module-level for picklability."""
-    a, params, w0, h0 = payload
-    from repro.factorization.nmf import NMF
+    a, spec = payload
+    from repro.factorization.kernels import batched_nmf_fits
 
-    model = NMF(**params)
-    w = model.fit_transform(a, W0=w0, H0=h0)
-    assert model.components_ is not None
-    return {
-        "w": w,
-        "h": model.components_,
-        "err": np.float64(model.reconstruction_err_),
-        "n_iter": np.int64(model.n_iter_),
-        "converged": np.bool_(model.converged_),
-    }
+    return batched_nmf_fits(a, [spec])[0]
 
 
 def _spec_key(a_digest: str, spec: Mapping[str, Any]) -> str:
@@ -838,36 +792,31 @@ def run_nmf_fits(
     Each spec holds :class:`~repro.factorization.nmf.NMF` constructor
     keywords plus optional ``W0``/``H0`` initialization arrays.  Specs
     must be fully deterministic (pre-drawn inits or deterministic init
-    schemes) — that is what makes the cache and every execution strategy
+    schemes) — that is what makes the cache and the process pool
     transparent.  ``a`` may also be a ``scipy.sparse`` matrix, which the
-    batched kernels keep sparse in the solver hot loops.  Returns one
-    bundle per spec, in spec order, each with ``w``, ``h``, ``err``,
-    ``n_iter``, ``converged``.
+    engine keeps sparse in the solver hot loops.  Returns one bundle per
+    spec, in spec order, each with ``w``, ``h``, ``err``, ``n_iter``,
+    ``converged``.
 
-    ``kernel`` picks the execution strategy for cache-miss specs:
-
-    * ``"batched"`` — stack the batch and advance all restarts at once
-      through :func:`repro.factorization.kernels.batched_nmf_fits`;
-    * ``"serial"`` — the legacy one-fit-at-a-time loop (or process pool
-      when ``workers > 1``);
-    * ``"online"`` — out-of-core chunked MU over row blocks
-      (:func:`repro.factorization.outofcore.outofcore_nmf_fits`), for
-      dense/memory-mapped matrices too large for RAM; never chosen by
-      ``auto``;
-    * ``"auto"`` (default) — the pool for large dense matrices when
-      ``workers > 1``, the batched engine otherwise.
-
-    All strategies produce bit-identical bundles; under an active fault
-    plan with retries enabled, recovery reproduces the fault-free
-    results bit for bit (pre-drawn state means a retried task cannot
-    consume different randomness).
+    Cache misses run through
+    :func:`repro.factorization.kernels.batched_nmf_fits` in this
+    process, or — when ``workers > 1``, more than one dense spec misses
+    and ``a`` has at least ``_POOL_MIN_ELEMS`` elements — one spec per
+    process-pool task through the same engine.  Both produce
+    bit-identical bundles; under an active fault plan with retries
+    enabled, pool recovery reproduces the fault-free results bit for
+    bit (pre-drawn state means a retried task cannot consume different
+    randomness).  ``kernel`` accepts only ``None`` or ``"batched"`` and
+    changes nothing; it remains for existing callers.
     """
+    if kernel not in (None, "batched"):
+        raise ValueError(f"kernel must be None or 'batched', got {kernel!r}")
     is_sparse = scipy.sparse.issparse(a)
     if not is_sparse:
         a = np.ascontiguousarray(a, dtype=float)
     store = cache if cache is not None else result_cache
     results: list[dict[str, np.ndarray] | None] = [None] * len(specs)
-    pending: list[tuple[int, str, tuple]] = []
+    pending: list[tuple[int, str, Mapping[str, Any]]] = []
     with metrics.timer("runtime.nmf_batch"):
         a_digest = matrix_digest(a) if use_cache else ""
         for i, spec in enumerate(specs):
@@ -877,41 +826,24 @@ def run_nmf_fits(
                 if hit is not None:
                     results[i] = hit
                     continue
-            params = {k: v for k, v in spec.items() if k not in ("W0", "H0")}
-            payload = (a, params, spec.get("W0"), spec.get("H0"))
-            pending.append((i, key, payload))
+            pending.append((i, key, spec))
         if pending:
-            strategy = resolve_nmf_kernel(kernel)
-            if strategy == "auto":
-                use_pool = (
-                    not is_sparse
-                    and len(pending) > 1
-                    and resolve_workers(workers) > 1
-                    and a.size >= _POOL_MIN_ELEMS
+            todo = [spec for _, _, spec in pending]
+            if (
+                not is_sparse
+                and len(todo) > 1
+                and resolve_workers(workers) > 1
+                and a.size >= _POOL_MIN_ELEMS
+            ):
+                metrics.inc("runtime.nmf_strategy.pool")
+                fresh = parallel_map(
+                    _fit_nmf_task, [(a, spec) for spec in todo], workers=workers
                 )
-                strategy = "serial" if use_pool else "batched"
-            if strategy == "batched":
+            else:
                 from repro.factorization.kernels import batched_nmf_fits
 
                 metrics.inc("runtime.nmf_strategy.batched")
-                fresh = batched_nmf_fits(
-                    a, [dict(p[1], W0=p[2], H0=p[3]) for _, _, p in pending]
-                )
-            elif strategy == "online":
-                from repro.factorization.outofcore import outofcore_nmf_fits
-
-                metrics.inc("runtime.nmf_strategy.online")
-                fresh = outofcore_nmf_fits(
-                    a, [dict(p[1], W0=p[2], H0=p[3]) for _, _, p in pending]
-                )
-            else:
-                if resolve_workers(workers) > 1 and len(pending) > 1:
-                    metrics.inc("runtime.nmf_strategy.pool")
-                else:
-                    metrics.inc("runtime.nmf_strategy.serial")
-                fresh = parallel_map(
-                    _fit_nmf_task, [p for _, _, p in pending], workers=workers
-                )
+                fresh = batched_nmf_fits(a, todo)
             for (i, key, _), bundle in zip(pending, fresh):
                 results[i] = bundle
                 if use_cache:

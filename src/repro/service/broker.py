@@ -252,8 +252,8 @@ class RequestBroker:
     """Two coalescing lanes — ``nmf`` and ``search`` — over the runtime.
 
     ``search_many`` is the batched query callable (typically the sharded
-    repository's bound method).  ``kernel`` pins the NMF strategy for
-    coalesced batches (the batched engine is the point of coalescing).
+    repository's bound method).  NMF batches always run in process
+    (``workers=1``): one stacked engine call is the point of coalescing.
 
     Each lane is guarded by a :class:`CircuitBreaker`:
     ``breaker_threshold`` consecutive backend failures open it, after
@@ -269,16 +269,12 @@ class RequestBroker:
         search_many: Callable | None = None,
         max_batch: int = 32,
         coalesce: bool = True,
-        kernel: str | None = "batched",
-        workers: int | None = None,
         breaker_threshold: int = 5,
         breaker_recovery_s: float = 2.0,
     ) -> None:
         if max_batch < 1:
             raise ValueError(f"max_batch must be >= 1, got {max_batch}")
         self._search_many = search_many
-        self._kernel = kernel
-        self._workers = workers
         self.coalesce = coalesce
         self.max_batch = max_batch
         self.breakers: dict[str, CircuitBreaker] = {
@@ -365,9 +361,7 @@ class RequestBroker:
                 specs.extend(rep.specs)
             matrix = unique[order[0]][0][0].matrix
             try:
-                bundles = run_nmf_fits(
-                    matrix, specs, kernel=self._kernel, workers=self._workers
-                )
+                bundles = run_nmf_fits(matrix, specs, workers=1)
             except BaseException as exc:
                 self.breakers["nmf"].record_failure(exc)
                 _fail(group_jobs, exc)

@@ -247,7 +247,6 @@ class ReproService:
             search_many=self._search_many,
             max_batch=config.max_batch,
             coalesce=config.coalesce,
-            kernel=config.nmf_kernel,
             breaker_threshold=config.breaker_threshold,
             breaker_recovery_s=config.breaker_recovery_s,
         )

@@ -90,7 +90,6 @@ class ServiceConfig:
     resident: bool = True
     coalesce: bool = True
     max_batch: int = 32
-    nmf_kernel: str | None = "batched"
     default_k: int = 4
     default_restarts: int = 4
     default_limit: int = 10

@@ -299,3 +299,17 @@ class TestSearchCli:
     def test_similar_unknown_material(self, corpus_file):
         with pytest.raises(SystemExit, match="no material"):
             main(["similar", str(corpus_file), "--material-id", "nope"])
+
+
+class TestFaultsCli:
+    def test_batch_runs_through_the_pool(self, capsys):
+        assert main(["faults", "--fits", "4"]) == 0
+        out = capsys.readouterr().out
+        assert "500x400" in out
+        assert "ran through the process pool: yes" in out
+        assert "bit-identical to fault-free run: yes" in out
+
+    def test_in_process_batch_fails_the_demo(self, capsys):
+        """Below the pool threshold no fault can be injected: exit 1."""
+        assert main(["faults", "--rows", "30", "--cols", "24", "--fits", "2"]) == 1
+        assert "ran through the process pool: NO" in capsys.readouterr().out

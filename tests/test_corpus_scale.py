@@ -6,9 +6,10 @@ Covers the bounded-memory paths that make six-figure corpora tractable:
 * the JSONL course format round-trips exactly and degrades tolerantly;
 * memory-mapped arrays hash to the same cache digests as in-RAM copies,
   so the content-addressed NMF cache is storage-oblivious;
-* the out-of-core ``kernel="online"`` solve is bit-identical to the
-  serial kernel when ``A`` fits one block, and allclose under any
-  blocking.
+* the out-of-core solve is bit-identical to the in-memory engine when
+  ``A`` fits one block, bit-identical to the reference row-blocked MU
+  loop (``tests/oracles.py``) under several blocks, and allclose to the
+  in-memory engine under any blocking.
 """
 
 from __future__ import annotations
@@ -37,6 +38,14 @@ from repro.materials.similarity import incidence_matrix
 from repro.runtime import run_nmf_fits
 from repro.runtime.cache import ResultCache, array_digest, matrix_digest
 from repro.runtime.metrics import metrics
+from tests.oracles import oracle_blocked_fits, oracle_fits
+
+
+def assert_bit_equal(got, want):
+    assert len(got) == len(want)
+    for x, y in zip(got, want):
+        for key in ("w", "h", "err", "n_iter", "converged"):
+            assert np.array_equal(x[key], y[key]), key
 
 
 @pytest.fixture(scope="module")
@@ -132,13 +141,11 @@ class TestMemmapDigests:
         mapped = np.load(path, mmap_mode="r")
         specs = nmf_restart_specs(a, 3, seed=1, solver="mu", n_restarts=2)
         cache = ResultCache()
-        warm = run_nmf_fits(a, specs, kernel="serial", workers=1, cache=cache)
+        warm = run_nmf_fits(a, specs, workers=1, cache=cache)
         assert cache.stats.misses == 2 and cache.stats.hits == 0
-        served = run_nmf_fits(mapped, specs, kernel="online", cache=cache)
+        served = run_nmf_fits(mapped, specs, cache=cache)
         assert cache.stats.hits == 2
-        for x, y in zip(warm, served):
-            for key in ("w", "h", "err", "n_iter", "converged"):
-                assert np.array_equal(x[key], y[key]), key
+        assert_bit_equal(warm, served)
 
 
 class TestRowBlocks:
@@ -164,28 +171,31 @@ class TestOutOfCoreNMF:
         return (rng.random((60, 23)) < 0.25).astype(float)
 
     def test_single_block_bit_identical_to_serial(self, binary):
-        specs = nmf_restart_specs(binary, 4, seed=2, solver="mu", n_restarts=3)
-        serial = run_nmf_fits(binary, specs, kernel="serial", workers=1,
-                              use_cache=False)
-        online = run_nmf_fits(binary, specs, kernel="online", use_cache=False)
-        for x, y in zip(serial, online):
-            for key in ("w", "h", "err", "n_iter", "converged"):
-                assert np.array_equal(x[key], y[key]), key
+        assert len(row_blocks(*binary.shape)) == 1
+        for tol in (1e-4, 0.0):
+            specs = nmf_restart_specs(binary, 4, seed=2, solver="mu",
+                                      n_restarts=3, tol=tol)
+            online = outofcore_nmf_fits(binary, specs)
+            assert_bit_equal(online, oracle_fits(binary, specs))
+            assert_bit_equal(online, run_nmf_fits(binary, specs, use_cache=False))
 
     def test_multi_block_allclose(self, binary):
-        specs = nmf_restart_specs(binary, 4, seed=2, solver="mu", n_restarts=2)
-        serial = run_nmf_fits(binary, specs, kernel="serial", workers=1,
-                              use_cache=False)
-        metrics.reset()
-        blocked = outofcore_nmf_fits(binary, specs, budget=binary.shape[1] * 7)
-        n_blocks = len(row_blocks(*binary.shape, budget=binary.shape[1] * 7))
-        assert n_blocks > 1
-        assert metrics.get("oocnmf.blocks") == n_blocks * len(specs)
-        assert metrics.get("oocnmf.fits") == len(specs)
-        for x, y in zip(serial, blocked):
-            assert np.allclose(x["w"], y["w"], atol=1e-8)
-            assert np.allclose(x["h"], y["h"], atol=1e-8)
-            assert np.allclose(float(x["err"]), float(y["err"]), atol=1e-8)
+        budget = binary.shape[1] * 7
+        blocks = row_blocks(*binary.shape, budget=budget)
+        assert len(blocks) > 1
+        for tol in (1e-4, 0.0):
+            specs = nmf_restart_specs(binary, 4, seed=2, solver="mu",
+                                      n_restarts=2, tol=tol)
+            in_memory = run_nmf_fits(binary, specs, use_cache=False)
+            metrics.reset()
+            blocked = outofcore_nmf_fits(binary, specs, budget=budget)
+            assert metrics.get("oocnmf.blocks") == len(blocks) * len(specs)
+            assert metrics.get("oocnmf.fits") == len(specs)
+            assert_bit_equal(blocked, oracle_blocked_fits(binary, specs, blocks))
+            for x, y in zip(in_memory, blocked):
+                assert np.allclose(x["w"], y["w"], atol=1e-8)
+                assert np.allclose(x["h"], y["h"], atol=1e-8)
+                assert np.allclose(float(x["err"]), float(y["err"]), atol=1e-8)
 
     def test_memmap_input_multi_block(self, binary, tmp_path):
         path = tmp_path / "a.npy"
@@ -194,9 +204,7 @@ class TestOutOfCoreNMF:
         specs = nmf_restart_specs(binary, 3, seed=5, solver="mu")
         ram = outofcore_nmf_fits(binary, specs, budget=binary.shape[1] * 11)
         ooc = outofcore_nmf_fits(mapped, specs, budget=binary.shape[1] * 11)
-        for x, y in zip(ram, ooc):
-            for key in ("w", "h", "err", "n_iter", "converged"):
-                assert np.array_equal(x[key], y[key]), key
+        assert_bit_equal(ram, ooc)
 
     def test_rejects_unsupported_specs(self, binary):
         import scipy.sparse
@@ -295,7 +303,7 @@ class TestStreamIncidenceMemmap:
         specs = nmf_restart_specs(a, 2, seed=3, solver="mu", n_restarts=1)
         mapped = np.load(tmp_path / "a.npy", mmap_mode="r")
         ooc = outofcore_nmf_fits(mapped, specs)
-        dense = run_nmf_fits(a, specs, kernel="serial", use_cache=False)
+        dense = oracle_fits(a, specs)
         assert np.allclose(ooc[0]["w"], dense[0]["w"])
         assert np.allclose(ooc[0]["h"], dense[0]["h"])
 

@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 
 import repro.runtime as runtime
+import repro.runtime.executor as executor
 from repro.factorization.nmf import nmf_restart_specs
 from repro.runtime.cache import ResultCache
 from repro.runtime.executor import (
@@ -216,19 +217,19 @@ class TestTimeouts:
 
 
 class TestNmfBatchRecovery:
-    def test_faulty_run_bit_identical_to_clean(self):
+    def test_faulty_run_bit_identical_to_clean(self, monkeypatch):
         rng = np.random.default_rng(1)
         a = np.abs(rng.standard_normal((20, 16)))
+        # Only pool tasks meet injected faults: size the pool rule to ``a``.
+        monkeypatch.setattr(executor, "_POOL_MIN_ELEMS", a.size)
         specs = nmf_restart_specs(a, 3, seed=0, n_restarts=5)
-        clean = run_nmf_fits(
-            a, specs, workers=2, use_cache=False, kernel="serial"
-        )
+        clean = run_nmf_fits(a, specs, workers=2, use_cache=False)
         set_fault_plan(
             "seed=3,task_error=0.4,pool_crash=0.2,only_first_attempt=1"
         )
-        faulty = run_nmf_fits(
-            a, specs, workers=2, use_cache=False, kernel="serial"
-        )
+        faulty = run_nmf_fits(a, specs, workers=2, use_cache=False)
+        assert runtime.metrics.get("runtime.nmf_strategy.pool") == 2
+        assert failure_report()  # faults were injected and recovered from
         for c, f in zip(clean, faulty):
             for key in c:
                 assert np.array_equal(c[key], f[key]), key

@@ -1,10 +1,11 @@
-"""Tests for the batched, sparse-aware NMF kernel engine.
+"""Tests for the stacked NMF engine.
 
 The load-bearing property is *bit-identity*: for identical specs the
-batched engine must return exactly the bytes the serial restart loop
-returns — same ``W``/``H``/``err``/``n_iter``/``converged`` — which is
-what lets :func:`repro.runtime.run_nmf_fits` swap strategies without
-invalidating the content-addressed cache or any downstream figure.
+engine must return exactly the bytes of the textbook 2-D solver loops in
+``tests/oracles.py`` — same ``W``/``H``/``err``/``n_iter``/``converged``
+— whether it solves a batch (:func:`batched_nmf_fits`), one estimator
+fit (``NMF.fit_transform``) or process-pool tasks.  That is what keeps
+the content-addressed cache and every downstream figure stable.
 """
 
 import numpy as np
@@ -13,24 +14,18 @@ import scipy.sparse
 
 import repro.runtime as runtime
 from repro.factorization import kernels
-from repro.factorization.kernels import (
-    batched_nmf_fits,
-    sparse_fit_single,
-    validate_sparse,
-)
+from repro.factorization.kernels import batched_nmf_fits, validate_sparse
 from repro.factorization.nmf import NMF, nmf_restart_specs, nndsvd_init
-from repro.runtime import resolve_nmf_kernel, run_nmf_fits
+from repro.runtime import executor, run_nmf_fits
 from repro.runtime.cache import ResultCache, matrix_digest
-from repro.runtime.executor import set_default_nmf_kernel
+from tests.oracles import oracle_fits
 
 
 @pytest.fixture(autouse=True)
 def _fresh_runtime():
     runtime.reset()
-    set_default_nmf_kernel(None)
     yield
     runtime.reset()
-    set_default_nmf_kernel(None)
 
 
 @pytest.fixture()
@@ -39,8 +34,8 @@ def binary(rng):
     return (rng.random((9, 26)) < 0.3).astype(float)
 
 
-def serial_fits(a, specs):
-    """Reference results: one plain NMF fit per spec, in order."""
+def estimator_fits(a, specs):
+    """One ``NMF.fit_transform`` per spec, in order (one-run stacks)."""
     out = []
     for spec in specs:
         params = {k: v for k, v in spec.items() if k not in ("W0", "H0")}
@@ -65,6 +60,13 @@ def assert_bundles_bit_equal(got, want):
             assert np.array_equal(np.asarray(g[key]), np.asarray(s[key])), key
 
 
+def assert_engine_matches_oracle(a, specs):
+    """Batched (R > 1) and estimator (R = 1) fits equal the 2-D loops."""
+    want = oracle_fits(a, specs)
+    assert_bundles_bit_equal(batched_nmf_fits(a, specs), want)
+    assert_bundles_bit_equal(estimator_fits(a, specs), want)
+
+
 class TestCheckEveryValidation:
     def test_zero_raises_clear_error(self):
         with pytest.raises(ValueError, match="check_every must be >= 1"):
@@ -81,20 +83,8 @@ class TestCheckEveryValidation:
 
 
 class TestFinalErrorReuse:
-    def test_converging_fit_evaluates_objective_once_per_check(
-        self, binary, monkeypatch
-    ):
+    def test_converging_fit_evaluates_objective_once_per_check(self, binary):
         """``fit_transform`` must not re-derive the error it already has."""
-        import repro.factorization.nmf as nmf_mod
-
-        calls = []
-        real = nmf_mod._frobenius_error
-
-        def counting(a, w, h):
-            calls.append(1)
-            return real(a, w, h)
-
-        monkeypatch.setattr(nmf_mod, "_frobenius_error", counting)
         model = NMF(
             2, solver="hals", init="random", seed=0,
             tol=1e-3, check_every=5, max_iter=200,
@@ -103,7 +93,8 @@ class TestFinalErrorReuse:
         assert model.converged_
         # init eval + one eval per completed check window; converging
         # check's value is reused, so no extra final evaluation.
-        assert len(calls) == 1 + model.n_iter_ // 5
+        evals = runtime.metrics.get("kernel.dense_residual_evals")
+        assert evals == 1 + model.n_iter_ // 5
 
     def test_error_matches_recomputed_value(self, binary):
         model = NMF(2, solver="mu", init="random", seed=3, tol=1e-3)
@@ -181,7 +172,7 @@ class TestBatchedBitEquivalence:
                 key: v for key, v in cfg.items() if key != "max_iter"
             },
         )
-        assert_bundles_bit_equal(batched_nmf_fits(a, specs), serial_fits(a, specs))
+        assert_engine_matches_oracle(a, specs)
 
     def test_randomized_trials(self, rng):
         for _ in range(4):
@@ -199,9 +190,7 @@ class TestBatchedBitEquivalence:
                 loss=str(loss), n_restarts=4, max_iter=40,
                 check_every=int(rng.integers(1, 12)),
             )
-            assert_bundles_bit_equal(
-                batched_nmf_fits(a, specs), serial_fits(a, specs)
-            )
+            assert_engine_matches_oracle(a, specs)
 
     def test_mixed_groups_preserve_spec_order(self, binary):
         """Different k interleaved — results come back in spec order."""
@@ -209,24 +198,24 @@ class TestBatchedBitEquivalence:
         for i in range(6):
             specs.extend(nmf_restart_specs(binary, 2 + i % 3, seed=i, n_restarts=1))
         assert_bundles_bit_equal(
-            batched_nmf_fits(binary, specs), serial_fits(binary, specs)
+            batched_nmf_fits(binary, specs), oracle_fits(binary, specs)
         )
 
     def test_non_custom_init_falls_back_to_serial(self, binary):
+        """Specs without a pre-drawn start resolve it like a lone fit."""
         specs = [
             dict(n_components=2, solver="hals", init="nndsvda"),
             dict(n_components=2, solver="hals", init="random", seed=11),
+            dict(n_components=2, solver="hals", init="random", seed=11),
         ]
-        got = batched_nmf_fits(binary, specs)
-        assert_bundles_bit_equal(got, serial_fits(binary, specs))
-        assert runtime.metrics.get("kernel.serial_fallback_runs") == 2
+        assert_engine_matches_oracle(binary, specs)
 
     def test_tiny_batch_budget_is_bit_equal(self, binary, monkeypatch):
         """Chunking cannot change results — runs are independent."""
         specs = nmf_restart_specs(binary, 3, seed=0, n_restarts=7)
         want = batched_nmf_fits(binary, specs)
-        monkeypatch.setenv("REPRO_NMF_BATCH_BUDGET", "10")
-        assert kernels.batch_budget() == 10
+        monkeypatch.setattr(kernels, "ELEMENT_BUDGET", 10)
+        assert kernels._chunk_runs(NMF(3), 9, 26, 7, is_sparse=False) == 1
         assert_bundles_bit_equal(batched_nmf_fits(binary, specs), want)
 
     def test_empty_specs(self, binary):
@@ -257,13 +246,13 @@ class TestSparsePath:
         specs = nmf_restart_specs(a, 4, seed=0, solver=solver, n_restarts=3,
                                   max_iter=60)
         dense = batched_nmf_fits(a, specs)
-        sparse_r = batched_nmf_fits(asp, specs)
-        for d, s in zip(dense, sparse_r):
-            assert float(s["err"]) == pytest.approx(float(d["err"]), rel=1e-8)
-            assert np.allclose(s["w"], d["w"], rtol=1e-6, atol=1e-9)
-            assert np.allclose(s["h"], d["h"], rtol=1e-6, atol=1e-9)
-            assert int(s["n_iter"]) == int(d["n_iter"])
-            assert bool(s["converged"]) == bool(d["converged"])
+        for sparse_r in (batched_nmf_fits(asp, specs), estimator_fits(asp, specs)):
+            for d, s in zip(dense, sparse_r):
+                assert float(s["err"]) == pytest.approx(float(d["err"]), rel=1e-8)
+                assert np.allclose(s["w"], d["w"], rtol=1e-6, atol=1e-9)
+                assert np.allclose(s["h"], d["h"], rtol=1e-6, atol=1e-9)
+                assert int(s["n_iter"]) == int(d["n_iter"])
+                assert bool(s["converged"]) == bool(d["converged"])
 
     def test_no_dense_residual_during_sparse_solve(self, sparse_pair):
         """The Gram-trick objective must be the only error path used."""
@@ -299,7 +288,7 @@ class TestSparsePath:
     def test_sparse_fit_single_custom_init_requires_w0_h0(self, sparse_pair):
         _, asp = sparse_pair
         with pytest.raises(ValueError, match="requires W0 and H0"):
-            sparse_fit_single(NMF(2, init="custom"), asp)
+            NMF(2, init="custom").fit_transform(asp)
 
     def test_validate_sparse_rejects_negative_and_nan(self):
         with pytest.raises(ValueError, match="non-negative"):
@@ -324,50 +313,56 @@ class TestSparsePath:
 
 
 class TestKernelResolution:
-    def test_default_is_auto(self):
-        assert resolve_nmf_kernel() == "auto"
+    """``run_nmf_fits``' one dispatch rule: the process pool, each task
+    running the same engine, or the in-process engine."""
 
-    def test_argument_wins(self):
-        set_default_nmf_kernel("serial")
-        assert resolve_nmf_kernel("batched") == "batched"
+    @pytest.fixture()
+    def pool_sized(self, binary, monkeypatch):
+        """Make ``binary`` large enough for the pool."""
+        monkeypatch.setattr(executor, "_POOL_MIN_ELEMS", binary.size)
 
-    def test_configure_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NMF_KERNEL", "serial")
-        runtime.configure(nmf_kernel="batched")
-        assert resolve_nmf_kernel() == "batched"
+    def test_default_is_auto(self, binary, pool_sized, monkeypatch):
+        """In process unless ``workers > 1``, more than one dense spec
+        misses the cache, and ``A`` has at least ``_POOL_MIN_ELEMS``."""
+        specs = nmf_restart_specs(binary, 2, seed=1, n_restarts=2)
+        run_nmf_fits(binary, specs, workers=1, use_cache=False)
+        run_nmf_fits(binary, specs[:1], workers=2, use_cache=False)
+        run_nmf_fits(
+            scipy.sparse.csr_array(binary), specs, workers=2, use_cache=False
+        )
+        monkeypatch.setattr(executor, "_POOL_MIN_ELEMS", binary.size + 1)
+        run_nmf_fits(binary, specs, workers=2, use_cache=False)
+        assert runtime.metrics.get("runtime.nmf_strategy.batched") == 4
+        assert runtime.metrics.get("runtime.nmf_strategy.pool") == 0
 
-    def test_env_used_when_unconfigured(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NMF_KERNEL", "batched")
-        assert resolve_nmf_kernel() == "batched"
+    def test_invalid_argument_raises(self, binary):
+        specs = nmf_restart_specs(binary, 2, seed=1, n_restarts=2)
+        for kernel in ("serial", "online", "auto", "warp-speed"):
+            with pytest.raises(ValueError, match="kernel"):
+                run_nmf_fits(binary, specs, kernel=kernel)
+        assert_bundles_bit_equal(
+            run_nmf_fits(binary, specs, kernel="batched", use_cache=False),
+            run_nmf_fits(binary, specs, use_cache=False),
+        )
 
-    def test_invalid_env_ignored(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NMF_KERNEL", "warp-speed")
-        assert resolve_nmf_kernel() == "auto"
-
-    def test_invalid_argument_raises(self):
-        with pytest.raises(ValueError, match="nmf_kernel"):
-            resolve_nmf_kernel("warp-speed")
-        with pytest.raises(ValueError, match="nmf_kernel"):
-            set_default_nmf_kernel("warp-speed")
-
-    def test_run_nmf_fits_strategies_agree(self, binary):
+    def test_run_nmf_fits_strategies_agree(self, binary, pool_sized):
         specs = nmf_restart_specs(binary, 3, seed=6, n_restarts=4)
-        batched = run_nmf_fits(binary, specs, kernel="batched", use_cache=False)
-        serial = run_nmf_fits(binary, specs, kernel="serial", workers=1,
-                              use_cache=False)
-        auto = run_nmf_fits(binary, specs, kernel="auto", workers=1,
-                            use_cache=False)
-        assert_bundles_bit_equal(batched, serial)
-        assert_bundles_bit_equal(auto, serial)
-        assert runtime.metrics.get("runtime.nmf_strategy.batched") == 2
-        assert runtime.metrics.get("runtime.nmf_strategy.serial") == 1
+        in_process = run_nmf_fits(binary, specs, workers=1, use_cache=False)
+        pooled = run_nmf_fits(binary, specs, workers=2, use_cache=False)
+        assert_bundles_bit_equal(in_process, oracle_fits(binary, specs))
+        assert_bundles_bit_equal(pooled, in_process)
+        assert runtime.metrics.get("runtime.nmf_strategy.batched") == 1
+        assert runtime.metrics.get("runtime.nmf_strategy.pool") == 1
 
-    def test_cache_is_strategy_oblivious(self, binary):
-        """A bundle cached by one strategy is a hit for every other."""
+    def test_cache_is_strategy_oblivious(self, binary, pool_sized):
+        """A bundle cached by the pool is a hit in process."""
         specs = nmf_restart_specs(binary, 2, seed=8, n_restarts=3)
         cache = ResultCache()
-        run_nmf_fits(binary, specs, kernel="serial", workers=1, cache=cache)
+        run_nmf_fits(binary, specs, workers=2, cache=cache)
+        assert runtime.metrics.get("runtime.nmf_strategy.pool") == 1
         before = runtime.metrics.get("nmf.fits")
-        out = run_nmf_fits(binary, specs, kernel="batched", cache=cache)
+        out = run_nmf_fits(binary, specs, workers=1, cache=cache)
+        assert cache.stats.hits == len(specs)
         assert runtime.metrics.get("nmf.fits") == before
-        assert_bundles_bit_equal(out, serial_fits(binary, specs))
+        assert runtime.metrics.get("runtime.nmf_strategy.batched") == 0
+        assert_bundles_bit_equal(out, oracle_fits(binary, specs))
