@@ -91,25 +91,32 @@ def build_course_matrix(
     selected = [c for c in courses if label is None or label in c.labels]
     if not selected:
         raise ValueError(f"no courses match label {label}")
+    if full_universe and tree is None:
+        raise ValueError("full_universe requires a guideline tree")
+    # Each course's tags, computed once and held until the fill as a
+    # tuple, which takes a fraction of a set's memory.
+    course_tags = [tuple(c.tag_set()) for c in selected]
     if full_universe:
-        if tree is None:
-            raise ValueError("full_universe requires a guideline tree")
-        tag_ids: list[str] = list(tree.tag_ids())
+        tag_ids = tree.tag_ids()
     else:
-        universe: set[str] = set()
-        for c in selected:
-            tags = c.tag_set()
-            if tree is not None:
-                tags = frozenset(t for t in tags if t in tree)
-            universe |= tags
+        universe = frozenset().union(*course_tags)
+        if tree is not None:
+            universe = frozenset(t for t in universe if t in tree)
         tag_ids = sorted(universe)
+    # The columns restrict each course to its in-tree tags.
     index = {t: j for j, t in enumerate(tag_ids)}
-    a = np.zeros((len(selected), len(tag_ids)))
-    for i, c in enumerate(selected):
-        for t in c.tag_set():
-            j = index.get(t)
-            if j is not None:
-                a[i, j] = 1.0
+    n_tags = len(tag_ids)
+    cells = np.fromiter(
+        (
+            i * n_tags + index[t]
+            for i, tags in enumerate(course_tags)
+            for t in tags
+            if t in index
+        ),
+        dtype=np.intp,
+    )
+    a = np.zeros((len(selected), n_tags))
+    np.put(a, cells, 1.0)
     if weighting == "tfidf":
         n = a.shape[0]
         df = a.sum(axis=0)

@@ -10,7 +10,10 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Mapping
+
+from repro.util.digest import canonical_digest
 
 
 class MaterialType(enum.Enum):
@@ -63,6 +66,10 @@ class Material:
     ``mappings`` holds guideline tag ids (CS2013 and/or PDC12 node ids);
     the searchable metadata fields mirror §3.1.2: author, course level,
     programming language, and datasets used.
+
+    A material is immutable, ``meta`` included: never mutate it in place
+    (derive a changed copy with :func:`dataclasses.replace`), since
+    :attr:`digest` is memoized on first use.
     """
 
     id: str
@@ -105,6 +112,13 @@ class Material:
             url=self.url,
             meta=self.meta,
         )
+
+    @cached_property
+    def digest(self) -> str:
+        """Canonical-JSON content digest, computed once per material."""
+        from repro.io.json_io import material_to_dict  # imports this module
+
+        return canonical_digest(material_to_dict(self))
 
     def covers(self, tag_id: str) -> bool:
         """Whether this material is classified against ``tag_id``."""

@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections import Counter
 from typing import Iterable, Mapping
 
-from repro.ontology.node import NodeKind, OntologyNode
+from repro.ontology.node import OntologyNode
 from repro.ontology.tree import GuidelineTree
 
 
@@ -26,15 +26,10 @@ def reference_level(tree: GuidelineTree) -> int:
 def area_of(tree: GuidelineTree, node_id: str) -> OntologyNode | None:
     """The knowledge area containing ``node_id`` (or the node itself if an area).
 
-    Returns ``None`` for the root or for trees without AREA nodes.
+    Returns ``None`` for the root or for trees without AREA nodes.  A
+    lookup in the tree's memoized node → area index.
     """
-    node = tree[node_id]
-    if node.kind is NodeKind.AREA:
-        return node
-    for anc in tree.ancestors(node_id):
-        if anc.kind is NodeKind.AREA:
-            return anc
-    return None
+    return tree.area_of(node_id)
 
 
 def tags_by_area(tree: GuidelineTree, tag_ids: Iterable[str]) -> dict[str, list[str]]:

@@ -3,14 +3,18 @@
 ``GuidelineTree`` is an immutable-after-construction rooted tree of
 :class:`~repro.ontology.node.OntologyNode`.  It stores parent/child adjacency
 explicitly (rather than deriving it from id paths) so that subtree filters
-can relabel structure without string surgery.
+can relabel structure without string surgery.  Immutability lets a tree
+memoize what it derives from itself: its digest, its preorder tags and the
+node → knowledge-area index.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Callable, Iterator
 
 from repro.ontology.node import NodeKind, OntologyNode
+from repro.util.digest import canonical_digest
 
 
 class GuidelineTree:
@@ -153,16 +157,45 @@ class GuidelineTree:
         """All leaf nodes (no children), preorder."""
         return [self._nodes[nid] for nid in self.iter_preorder_ids() if not self._children[nid]]
 
+    @cached_property
+    def _tags(self) -> tuple[OntologyNode, ...]:
+        return tuple(n for n in self.iter_preorder() if n.is_tag)
+
     def tags(self) -> list[OntologyNode]:
         """All classifiable tags (topics and outcomes), preorder.
 
         This is the column universe of the paper's course x curriculum
         matrix ``A``.
         """
-        return [n for n in self.iter_preorder() if n.is_tag]
+        return list(self._tags)
 
     def tag_ids(self) -> list[str]:
-        return [n.id for n in self.tags()]
+        return [n.id for n in self._tags]
+
+    @cached_property
+    def _area_index(self) -> dict[str, OntologyNode | None]:
+        index: dict[str, OntologyNode | None] = {}
+        for node in self.iter_preorder():  # parents before children
+            if node.kind is NodeKind.AREA:
+                index[node.id] = node
+            else:
+                pid = self._parent[node.id]
+                index[node.id] = None if pid is None else index[pid]
+        return index
+
+    def area_of(self, node_id: str) -> OntologyNode | None:
+        """The knowledge area containing ``node_id`` (or the node itself if
+        an area); ``None`` for the root or for trees without AREA nodes."""
+        if node_id not in self._nodes:
+            raise KeyError(f"no node {node_id!r} in guideline tree")
+        return self._area_index[node_id]
+
+    @cached_property
+    def digest(self) -> str:
+        """Canonical-JSON content digest, computed once per tree."""
+        from repro.ontology.serialize import tree_to_dict  # imports this module
+
+        return canonical_digest(tree_to_dict(self))
 
     def areas(self) -> list[OntologyNode]:
         """Knowledge areas (direct children of the root with AREA kind)."""

@@ -9,7 +9,7 @@ after a small corpus change recomputes only the affected nodes.
 * :mod:`~repro.pipeline.core` — the engine: :class:`Pipeline`,
   :class:`PipelineNode`, content keys with early cutoff, wave execution.
 * :mod:`~repro.pipeline.report` — the report DAG:
-  :func:`build_report_pipeline` plus the course/tree digest helpers.
+  :func:`build_report_pipeline` plus the course/corpus digest helpers.
 """
 
 from repro.pipeline.core import (
@@ -25,7 +25,6 @@ from repro.pipeline.report import (
     build_report_pipeline,
     corpus_digest,
     course_digest,
-    tree_digest,
 )
 
 __all__ = [
@@ -38,6 +37,5 @@ __all__ = [
     "corpus_digest",
     "course_digest",
     "params_digest",
-    "tree_digest",
     "value_digest",
 ]

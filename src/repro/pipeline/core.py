@@ -33,9 +33,9 @@ exposes it for work/span/parallelism analysis and scheduling experiments.
 from __future__ import annotations
 
 import hashlib
-import json
 import pickle
-from dataclasses import dataclass, field
+import time
+from dataclasses import dataclass
 from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
@@ -44,9 +44,15 @@ from repro.runtime.cache import ResultCache, result_cache
 from repro.runtime.executor import parallel_map
 from repro.runtime.metrics import metrics
 from repro.taskgraph.dag import TaskGraph
+from repro.util.digest import canonical_digest
 
 #: Pipeline cache-format version; bump to invalidate every memoized node.
-PIPELINE_FORMAT = 1
+#: 2: course digests hash the header plus memoized material digests.
+PIPELINE_FORMAT = 2
+
+#: Folds structured inputs (course digests, config mappings, label
+#: assignments) into node params.
+params_digest = canonical_digest
 
 #: Pickle protocol pinned so value digests are stable across interpreters.
 _PICKLE_PROTOCOL = 4
@@ -55,17 +61,6 @@ _PICKLE_PROTOCOL = 4
 def value_digest(raw: bytes) -> str:
     """SHA-256 hex digest of a node's serialized output value."""
     return hashlib.sha256(raw).hexdigest()
-
-
-def params_digest(obj: Any) -> str:
-    """Canonical digest of a JSON-representable parameter structure.
-
-    ``sort_keys`` makes dict ordering irrelevant; the separator choice
-    removes whitespace ambiguity.  Use this to fold structured inputs
-    (course dicts, config mappings, label assignments) into node params.
-    """
-    blob = json.dumps(obj, sort_keys=True, separators=(",", ":"), default=str)
-    return hashlib.sha256(blob.encode()).hexdigest()
 
 
 @dataclass(frozen=True)
@@ -109,20 +104,28 @@ def _freeze_params(params: Mapping[str, Any] | None) -> tuple[tuple[str, str], .
     return tuple(out)
 
 
-def _run_node(payload: tuple) -> Any:
-    """Execute one node; module-level for pool picklability."""
+def _run_node(payload: tuple) -> tuple[Any, float]:
+    """Execute one node, returning ``(value, seconds)``; module-level for
+    pool picklability, timed where it runs."""
     fn, dep_values = payload
-    return fn(dep_values)
+    t0 = time.perf_counter()
+    value = fn(dep_values)
+    return value, time.perf_counter() - t0
 
 
 @dataclass(frozen=True)
 class NodeRecord:
-    """How one node resolved during a run."""
+    """How one node resolved during a run.
+
+    ``seconds`` is the replay time (cache read, unpickle, digest) of a
+    hit and the node function's run time of a computed node.
+    """
 
     name: str
     key: str
     digest: str
     status: str  # "hit" | "computed"
+    seconds: float
 
 
 @dataclass
@@ -153,12 +156,16 @@ class PipelineRun:
         return [n for n in self.order if self.records[n].status == "hit"]
 
     def explain(self) -> str:
-        """Human-readable per-node hit/computed table."""
+        """Human-readable per-node table: status and seconds, plus the total."""
+        total_ms = sum(r.seconds for r in self.records.values()) * 1e3
         lines = [f"{len(self.records)} nodes: "
-                 f"{self.n_hits} cached, {self.n_computed} computed"]
+                 f"{self.n_hits} cached, {self.n_computed} computed, "
+                 f"{total_ms:.1f} ms"]
         for name in self.order:
             rec = self.records[name]
-            lines.append(f"  [{rec.status:>8}] {name}")
+            lines.append(
+                f"  [{rec.status:>8}] {rec.seconds * 1e3:9.2f} ms  {name}"
+            )
         return "\n".join(lines)
 
 
@@ -271,6 +278,7 @@ class Pipeline:
             for wave in self._waves():
                 pending: list[tuple[str, str]] = []
                 for name in wave:
+                    t0 = time.perf_counter()
                     node = self._nodes[name]
                     key = node.key(digests)
                     hit = store.get(key) if use_cache else None
@@ -278,7 +286,10 @@ class Pipeline:
                         raw = hit["value"].tobytes()
                         values[name] = pickle.loads(raw)
                         digests[name] = value_digest(raw)
-                        records[name] = NodeRecord(name, key, digests[name], "hit")
+                        records[name] = NodeRecord(
+                            name, key, digests[name], "hit",
+                            time.perf_counter() - t0,
+                        )
                         metrics.inc("pipeline.node_hit")
                     else:
                         pending.append((name, key))
@@ -293,11 +304,13 @@ class Pipeline:
                     for name, _ in pending
                 ]
                 outs = parallel_map(_run_node, payloads, workers=workers)
-                for (name, key), out in zip(pending, outs):
+                for (name, key), (out, seconds) in zip(pending, outs):
                     raw = pickle.dumps(out, protocol=_PICKLE_PROTOCOL)
                     values[name] = out
                     digests[name] = value_digest(raw)
-                    records[name] = NodeRecord(name, key, digests[name], "computed")
+                    records[name] = NodeRecord(
+                        name, key, digests[name], "computed", seconds
+                    )
                     metrics.inc("pipeline.node_computed")
                     if use_cache:
                         store.put(

@@ -16,7 +16,8 @@ inputs they read:
   mixture and the module-catalog digest), so a corpus of N courses gets
   N independent, individually replayable recommendation rows;
 * section/render nodes key on their upstream *values* (early cutoff: a
-  recomputed-but-identical matrix leaves every factorization cached).
+  recomputed-but-identical matrix leaves every factorization cached, and
+  the program-coverage section, which reads only the matrix's columns).
 
 The assembled report is byte-identical to
 :func:`repro.report.build_report_direct` — the section renderers are the
@@ -32,9 +33,7 @@ from typing import Any, Mapping, Sequence
 from repro.analysis import analyze_flavors, build_course_matrix, type_courses
 from repro.anchors.modules import MODULE_CATALOG
 from repro.corpus.roster import ROSTER
-from repro.io.json_io import course_to_dict
 from repro.materials.course import Course, CourseLabel
-from repro.ontology.serialize import tree_to_dict
 from repro.ontology.tree import GuidelineTree
 from repro.pipeline.core import Pipeline, params_digest
 from repro.report import (
@@ -55,18 +54,21 @@ from repro.report import (
 
 
 def course_digest(course: Course) -> str:
-    """Content digest of one course (its canonical JSON form)."""
-    return params_digest(course_to_dict(course))
+    """Content digest of one course: its header fields plus its materials'
+    memoized digests.  ``Course`` is mutable, so this is never memoized."""
+    return params_digest({
+        "id": course.id,
+        "name": course.name,
+        "institution": course.institution,
+        "instructor": course.instructor,
+        "labels": sorted(l.value for l in course.labels),
+        "materials": [m.digest for m in course.materials],
+    })
 
 
 def corpus_digest(courses: Sequence[Course]) -> str:
     """Order-sensitive digest of a course sequence (rows of ``A``)."""
     return params_digest([course_digest(c) for c in courses])
-
-
-def tree_digest(tree: GuidelineTree) -> str:
-    """Content digest of a guideline tree (its canonical JSON form)."""
-    return params_digest(tree_to_dict(tree))
 
 
 @lru_cache(maxsize=4)
@@ -157,6 +159,8 @@ def _node_anchors_section(
 
 
 def _node_gap_section(courses, tree, dep_values: Mapping[str, Any]) -> str:
+    # Keyed on the matrix: the section reads only the union of the
+    # courses' in-tree tags, which is exactly ``matrix.tag_ids``.
     del dep_values
     return _gap_section(courses, tree)
 
@@ -197,7 +201,7 @@ def build_report_pipeline(
     courses = list(courses)
     cdigs = {c.id: course_digest(c) for c in courses}
     corpus = params_digest([cdigs[c.id] for c in courses])
-    tdig = tree_digest(tree)
+    tdig = tree.digest
 
     p = Pipeline()
     p.add(
@@ -301,7 +305,8 @@ def build_report_pipeline(
     p.add(
         "section:gap",
         partial(_node_gap_section, courses, tree),
-        params={"corpus": corpus, "tree": tdig},
+        deps=("matrix",),
+        params={"tree": tdig},
     )
     layout.append(("node", "section:gap"))
 

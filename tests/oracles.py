@@ -1,6 +1,7 @@
-"""Reference NMF solvers: the textbook 2-D loops, one fit at a time.
+"""Reference implementations the package must reproduce exactly.
 
-The package solves every fit with the stacked engine of
+*NMF solvers: the textbook 2-D loops, one fit at a time.*  The package
+solves every fit with the stacked engine of
 :mod:`repro.factorization.kernels`.  These loops are what that engine
 must reproduce bit for bit: MU (Frobenius and KL) and HALS on the full
 dense matrix, and the multi-block MU update over row blocks that
@@ -8,6 +9,12 @@ dense matrix, and the multi-block MU update over row blocks that
 larger than its element budget.  Tests compare bundles from the engine
 against :func:`oracle_fits` / :func:`oracle_blocked_fits` with exact
 equality.
+
+*Guideline-tree queries and the course matrix.*  A tree memoizes its
+preorder tags and a node → area index; :func:`oracle_tags` and
+:func:`oracle_area_of` re-derive both by traversal.
+:func:`oracle_course_matrix` is the two-pass, cell-at-a-time loop that
+:func:`repro.analysis.matrix.build_course_matrix` must match byte for byte.
 """
 
 from __future__ import annotations
@@ -16,9 +23,13 @@ from typing import Any, Mapping, Sequence
 
 import numpy as np
 
+from repro.analysis.matrix import CourseMatrix
 from repro.factorization.kernels import _frobenius_error, _kl_divergence
 from repro.factorization.nmf import NMF
 from repro.factorization.outofcore import _blocked_error, _drop_pages
+from repro.materials.course import Course, CourseLabel
+from repro.ontology.node import NodeKind, OntologyNode
+from repro.ontology.tree import GuidelineTree
 from repro.util.validation import check_finite, check_matrix, check_nonnegative
 
 _EPS = np.finfo(np.float64).eps
@@ -189,3 +200,58 @@ def oracle_blocked_fits(
             last_err = _blocked_error(a, w, h, blocks)
         out.append(_bundle(w, h, last_err, n_iter, converged))
     return out
+
+
+# -- guideline-tree queries and the course matrix ----------------------------
+
+
+def oracle_tags(tree: GuidelineTree) -> list[OntologyNode]:
+    """Tag nodes (topics and outcomes) by a fresh preorder traversal."""
+    return [n for n in tree.iter_preorder() if n.is_tag]
+
+
+def oracle_area_of(tree: GuidelineTree, node_id: str) -> OntologyNode | None:
+    """The nearest AREA at or above ``node_id``, by walking ancestors."""
+    node = tree[node_id]
+    if node.kind is NodeKind.AREA:
+        return node
+    for anc in tree.ancestors(node_id):
+        if anc.kind is NodeKind.AREA:
+            return anc
+    return None
+
+
+def oracle_course_matrix(
+    courses: Sequence[Course],
+    *,
+    tree: GuidelineTree | None = None,
+    label: CourseLabel | None = None,
+    full_universe: bool = False,
+    weighting: str = "binary",
+) -> CourseMatrix:
+    """``A`` by two passes over ``Course.tag_set()``: the column universe
+    first, then one cell at a time."""
+    selected = [c for c in courses if label is None or label in c.labels]
+    if full_universe:
+        tag_ids: list[str] = list(tree.tag_ids())
+    else:
+        universe: set[str] = set()
+        for c in selected:
+            tags = c.tag_set()
+            if tree is not None:
+                tags = frozenset(t for t in tags if t in tree)
+            universe |= tags
+        tag_ids = sorted(universe)
+    index = {t: j for j, t in enumerate(tag_ids)}
+    a = np.zeros((len(selected), len(tag_ids)))
+    for i, c in enumerate(selected):
+        for t in c.tag_set():
+            j = index.get(t)
+            if j is not None:
+                a[i, j] = 1.0
+    if weighting == "tfidf":
+        n = a.shape[0]
+        df = a.sum(axis=0)
+        idf = np.log((1.0 + n) / (1.0 + df)) + 1.0
+        a = a * idf[None, :]
+    return CourseMatrix(a, tuple(c.id for c in selected), tuple(tag_ids))

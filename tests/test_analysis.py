@@ -17,6 +17,7 @@ from repro.analysis.model_selection import (
 from repro.analysis.typing import type_courses
 from repro.materials.course import Course, CourseLabel
 from repro.materials.material import Material, MaterialType
+from tests.oracles import oracle_course_matrix
 
 
 def mk_course(cid, tags, labels=()):
@@ -79,6 +80,35 @@ class TestCourseMatrix:
 
     def test_row_order_preserved(self, matrix, courses):
         assert matrix.course_ids == tuple(c.id for c in courses)
+
+    @pytest.mark.parametrize("weighting", ["binary", "tfidf"])
+    @pytest.mark.parametrize("label", [None, CourseLabel.CS1, CourseLabel.PDC])
+    @pytest.mark.parametrize(
+        "use_tree,full_universe", [(False, False), (True, False), (True, True)]
+    )
+    def test_bit_equal_to_two_pass_oracle(
+        self, dataset, use_tree, full_universe, label, weighting
+    ):
+        tree, courses, _ = dataset
+        # A course mapped to an internal unit node, an out-of-tree id and
+        # a tag exercises every column filter.
+        unit = tree.parent_id(tree.tag_ids()[0])
+        extra = mk_course(
+            "extra", [unit, "ELSEWHERE/tag", tree.tag_ids()[1]],
+            [CourseLabel.CS1, CourseLabel.PDC],
+        )
+        kwargs = dict(
+            tree=tree if use_tree else None,
+            label=label,
+            full_universe=full_universe,
+            weighting=weighting,
+        )
+        got = build_course_matrix([*courses, extra], **kwargs)
+        want = oracle_course_matrix([*courses, extra], **kwargs)
+        assert got.course_ids == want.course_ids
+        assert got.tag_ids == want.tag_ids
+        assert got.matrix.shape == want.matrix.shape
+        assert got.matrix.tobytes() == want.matrix.tobytes()
 
 
 class TestAgreement:

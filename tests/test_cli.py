@@ -2,6 +2,7 @@
 
 import os
 import pathlib
+import re
 import signal
 import subprocess
 import sys
@@ -10,6 +11,9 @@ import pytest
 
 import repro
 from repro.cli import _load, _service_state, build_parser, main
+from repro.io.json_io import load_courses, save_courses
+from repro.materials.material import Material, MaterialType
+from repro.runtime import result_cache
 
 
 @pytest.fixture(scope="module")
@@ -193,6 +197,48 @@ class TestGapAndDeps:
     def test_deps_unknown_course(self, corpus_file):
         with pytest.raises(SystemExit):
             main(["deps", str(corpus_file), "--course-id", "ghost"])
+
+
+class TestReportExplain:
+    _ROW = re.compile(r"^\s+\[\s*(hit|computed)\]\s+([0-9.]+) ms  (\S+)$")
+
+    def _explain(self, argv, capsys) -> tuple[str, dict[str, str]]:
+        assert main(argv) == 0
+        header, *rows = capsys.readouterr().err.splitlines()
+        status = {}
+        for row in rows:
+            match = self._ROW.match(row)
+            assert match, row
+            status[match[3]] = match[1]
+        return header, status
+
+    def test_warm_rebuild_after_tag_preserving_edit(
+        self, corpus_file, tmp_path, capsys, monkeypatch
+    ):
+        # main() points the process-global cache at --cache-dir; undo that.
+        monkeypatch.setattr(result_cache, "cache_dir", result_cache.cache_dir)
+        path = tmp_path / "courses.json"
+        courses = load_courses(corpus_file)
+        save_courses(courses, path)
+        argv = ["--cache-dir", str(tmp_path / "cache"), "report", str(path),
+                "--out", str(tmp_path / "report.md"), "--explain"]
+        self._explain(argv, capsys)
+
+        course = courses[0]
+        course.add_material(Material(
+            id=f"{course.id}-extra",
+            title="redundant worksheet",
+            mtype=MaterialType.LECTURE,
+            mappings=frozenset(sorted(course.tag_set())[:3]),
+        ))
+        save_courses(courses, path)
+        header, status = self._explain(argv, capsys)
+        assert re.fullmatch(
+            r"\d+ nodes: \d+ cached, \d+ computed, [0-9.]+ ms", header
+        ), header
+        assert status["matrix"] == "computed"
+        assert status["section:gap"] == "hit"
+        assert status["typing"] == "hit"
 
 
 class TestCompareAndMaterials:

@@ -1,7 +1,17 @@
 """Tests for ontology queries: reference level, areas, agreement subtrees, LCA."""
 
+import sys
+import threading
+
 import pytest
 
+from repro.canonical import load_canonical_dataset
+from repro.curriculum import (
+    load_cs2013,
+    load_cs2023_skeleton,
+    load_pdc12,
+    load_pdc12_beta,
+)
 from repro.ontology.queries import (
     agreement_subtree,
     area_histogram,
@@ -10,6 +20,23 @@ from repro.ontology.queries import (
     reference_level,
     tags_by_area,
 )
+from tests.oracles import oracle_area_of, oracle_tags
+
+
+def _hit_tree():
+    """CS2013 filtered to the first canonical course's tags."""
+    tree, courses, _ = load_canonical_dataset()
+    tags = courses[0].tag_set()
+    return tree.filter(lambda n: n.id in tags)
+
+
+_TREES = {
+    "cs2013": load_cs2013,
+    "pdc12": load_pdc12,
+    "pdc12-beta": load_pdc12_beta,
+    "cs2023-skeleton": load_cs2023_skeleton,
+    "hit-tree": _hit_tree,
+}
 
 
 class TestReferenceLevel:
@@ -48,6 +75,65 @@ class TestAreaOf:
         tags = [t.id for t in small_tree.tags()]
         hist = area_histogram(small_tree, tags)
         assert hist["A"] == 4 and hist["B"] == 2
+
+
+class TestMemoizedTreeIndex:
+    """The memoized tag tuple and node → area index equal a traversal."""
+
+    @pytest.fixture(params=sorted(_TREES), scope="class")
+    def tree(self, request):
+        return _TREES[request.param]()
+
+    def test_area_of_every_node(self, tree):
+        for nid in tree.node_ids():
+            assert area_of(tree, nid) == oracle_area_of(tree, nid), nid
+        assert area_of(tree, tree.root_id) is None
+
+    def test_unknown_id_raises(self, tree):
+        with pytest.raises(KeyError):
+            area_of(tree, "NOT/A/NODE")
+
+    def test_tags_in_preorder(self, tree):
+        expected = oracle_tags(tree)
+        assert tree.tags() == expected
+        assert tree.tag_ids() == [n.id for n in expected]
+
+    def test_returned_lists_are_fresh(self, tree):
+        tags, ids = tree.tags(), tree.tag_ids()
+        tags.clear()
+        ids.append("junk")
+        assert tree.tags() == oracle_tags(tree)
+        assert tree.tag_ids() == [n.id for n in oracle_tags(tree)]
+
+
+def test_concurrent_first_use_agrees():
+    """Threads racing to build a fresh tree's memos all see one answer."""
+    base = load_cs2013()
+    tree = base.filter(lambda n: True)  # an equal tree, memos not built yet
+    want_tags = oracle_tags(tree)
+    want_areas = {nid: oracle_area_of(tree, nid) for nid in tree.node_ids()}
+    bad: list[str] = []
+
+    def use() -> None:
+        if tree.tags() != want_tags:
+            bad.append("tags")
+        if any(area_of(tree, nid) != a for nid, a in want_areas.items()):
+            bad.append("areas")
+        if tree.digest != base.digest:
+            bad.append("digest")
+
+    threads = [threading.Thread(target=use) for _ in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert bad == []
 
 
 class TestAgreementSubtree:

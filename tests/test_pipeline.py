@@ -2,19 +2,32 @@
 
 Covers the engine (content keys, wave execution, taskgraph export), the
 report DAG's bit-identity with the straight-line path, invalidation
-granularity under corpus edits (add / remove / tag-preserving update),
-early cutoff, and chaos runs under ``REPRO_FAULTS``.
+granularity under corpus edits (add / remove / tag-preserving update /
+newly covered tag), early cutoff, the input digests the keys rest on,
+and chaos runs under ``REPRO_FAULTS``.
 """
 
 import dataclasses
+import enum
+import os
+import pathlib
+import pickle
+import subprocess
+import sys
+from typing import Mapping
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import repro.runtime as runtime
 from repro.analysis import build_course_matrix
-from repro.materials.course import CourseLabel
+from repro.analysis.program import analyze_program, pdc_gap
+from repro.curriculum import load_pdc12
+from repro.io.json_io import material_from_dict, material_to_dict
+from repro.materials.course import Course, CourseLabel
 from repro.materials.material import Material, MaterialType
+from repro.ontology.serialize import tree_to_dict
 from repro.pipeline import (
     Pipeline,
     build_report_pipeline,
@@ -262,7 +275,72 @@ class TestReportPipeline:
         for slug, _, _ in FLAVOR_FAMILIES:
             if f"section:flavors:{slug}" in run.records:
                 assert f"section:flavors:{slug}" in hits, slug
+        # The program-coverage section keys on the matrix value too.
+        assert "section:gap" in hits
         assert run.value("report") == build_report_direct(updated, tree)
+
+    def test_newly_covered_tag_recomputes_gap(self, dataset, tmp_path):
+        """Covering an in-tree tag no course covered changes the matrix's
+        columns, so the coverage section keyed on them recomputes."""
+        tree, courses, _ = dataset
+        courses = list(courses)
+        cache = ResultCache(cache_dir=tmp_path)
+        before = build_report_pipeline(courses, tree).run(cache=cache)
+
+        # A PD core entry in the program's gap: no course covers it yet.
+        fresh = pdc_gap(courses, tree)[0]
+        assert fresh not in build_course_matrix(courses, tree=tree).tag_ids
+        extra = Material(
+            id=f"{courses[0].id}-fresh",
+            title="first look at a new topic",
+            mtype=MaterialType.LECTURE,
+            mappings=frozenset({fresh}),
+        )
+        updated = [
+            dataclasses.replace(
+                courses[0], materials=[*courses[0].materials, extra]
+            ),
+            *courses[1:],
+        ]
+        run = build_report_pipeline(updated, tree).run(cache=cache)
+        assert run.records["section:gap"].status == "computed"
+        assert run.value("section:gap") != before.value("section:gap")
+        assert run.value("report") == build_report_direct(updated, tree)
+
+    @settings(
+        max_examples=40,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(data=st.data())
+    def test_matrix_columns_are_program_coverage(self, dataset, data):
+        """The gap-section keying rests on this: the matrix's columns are
+        exactly the program's covered in-tree tags, for any sub-corpus
+        and any re-classification."""
+        tree, courses, _ = dataset
+        # Tags, internal nodes and ids of another guideline.
+        pool = tree.node_ids() + load_pdc12().tag_ids()
+        picked = data.draw(
+            st.lists(st.sampled_from(courses), min_size=1, unique_by=id)
+        )
+        cs = list(picked)
+        edits = data.draw(st.lists(
+            st.tuples(
+                st.integers(0, len(cs) - 1),
+                st.integers(0, 10**6),
+                st.frozensets(st.sampled_from(pool), max_size=6),
+            ),
+            max_size=4,
+        ))
+        for ci, mi, tags in edits:
+            course = cs[ci]
+            materials = list(course.materials)
+            j = mi % len(materials)
+            materials[j] = materials[j].with_mappings(tags)
+            cs[ci] = dataclasses.replace(course, materials=materials)
+        assert frozenset(
+            build_course_matrix(cs, tree=tree).tag_ids
+        ) == analyze_program(cs, tree).covered
 
     def test_family_matrix_equals_subset(self, dataset):
         """The family-node keying rests on this: building a matrix from the
@@ -283,6 +361,117 @@ class TestReportPipeline:
         c = list(courses)[0]
         assert course_digest(c) == course_digest(c)
         assert course_digest(c) != course_digest(_tag_preserving_update(c))
+
+
+def _changed(value):
+    """A value of ``value``'s type that differs from it."""
+    if isinstance(value, enum.Enum):
+        members = list(type(value))
+        return members[(members.index(value) + 1) % len(members)]
+    if isinstance(value, str):
+        return value + "~"
+    if isinstance(value, frozenset):
+        return value ^ {_changed(next(iter(value)))}
+    if isinstance(value, tuple):
+        return (*value, "extra")
+    if isinstance(value, Mapping):
+        return {**value, "extra": 1}
+    raise TypeError(f"no change rule for {type(value).__name__}")
+
+
+def _material(**overrides):
+    fields = dict(
+        id="m1",
+        title="Loops",
+        mtype=MaterialType.LAB,
+        mappings={"b", "a"},
+        datasets=["census"],
+        meta={"weeks": [1, 2], "source": "workshop"},
+    )
+    return Material(**{**fields, **overrides})
+
+
+class TestInputDigests:
+    """Course digests hash the header plus memoized material digests, so
+    they must track every field and nothing else."""
+
+    @pytest.fixture()
+    def course(self, dataset):
+        _, courses, _ = dataset
+        c = next(c for c in courses if c.labels)
+        # A private copy: tests mutate it in place.
+        return dataclasses.replace(c, materials=list(c.materials))
+
+    def test_in_place_add_material_changes_digest(self, course):
+        before = course_digest(course)
+        course.add_material(_material())
+        assert course_digest(course) != before
+
+    @pytest.mark.parametrize(
+        "field", [f.name for f in dataclasses.fields(Material)]
+    )
+    def test_every_material_field_changes_digest(self, course, field):
+        m = course.materials[0]
+        edited = dataclasses.replace(m, **{field: _changed(getattr(m, field))})
+        changed = dataclasses.replace(
+            course, materials=[edited, *course.materials[1:]]
+        )
+        assert edited.digest != m.digest
+        assert course_digest(changed) != course_digest(course)
+
+    @pytest.mark.parametrize(
+        "field",
+        [f.name for f in dataclasses.fields(Course) if f.name != "materials"],
+    )
+    def test_every_header_field_changes_digest(self, course, field):
+        changed = dataclasses.replace(
+            course, **{field: _changed(getattr(course, field))}
+        )
+        assert course_digest(changed) != course_digest(course)
+
+    def test_equal_materials_built_independently(self):
+        a, b = _material(), _material()
+        assert a is not b and a == b
+        assert a.digest == b.digest
+        assert material_from_dict(material_to_dict(a)).digest == a.digest
+        assert course_digest(Course("c", "C", materials=[a])) == course_digest(
+            Course("c", "C", materials=[b])
+        )
+
+    def test_survives_pickle(self, course, dataset):
+        tree = dataset[0]
+        expected = course_digest(course)  # memoizes every material digest
+        assert course_digest(pickle.loads(pickle.dumps(course))) == expected
+        assert pickle.loads(pickle.dumps(tree)).digest == tree.digest
+
+    def test_tree_digest_is_canonical_json(self, dataset):
+        tree = dataset[0]
+        assert tree.digest == params_digest(tree_to_dict(tree))
+
+    def test_independent_of_hash_seed(self, dataset):
+        """The on-disk cache layer replays keys across processes."""
+        tree, courses, _ = dataset
+        expected = [tree.digest, *(course_digest(c) for c in courses)]
+        script = (
+            "from repro.canonical import load_canonical_dataset\n"
+            "from repro.pipeline import course_digest\n"
+            "tree, courses, _ = load_canonical_dataset()\n"
+            "print(tree.digest, *(course_digest(c) for c in courses))\n"
+        )
+        src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+        for seed in ("0", "4242"):
+            env = {
+                **os.environ,
+                "PYTHONHASHSEED": seed,
+                "PYTHONPATH": os.pathsep.join(
+                    p for p in (src, os.environ.get("PYTHONPATH")) if p
+                ),
+            }
+            out = subprocess.run(
+                [sys.executable, "-c", script],
+                env=env, capture_output=True, text=True, check=True,
+            )
+            assert out.stdout.split() == expected, seed
 
 
 class TestChaosPipeline:
