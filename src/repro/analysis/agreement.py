@@ -28,17 +28,19 @@ def agreement_counts(
     tree: GuidelineTree | None = None,
     weighted: bool = False,
 ) -> Counter[str]:
-    """Tag id → number of courses covering it (or summed material weight)."""
+    """Tag id → number of courses covering it (or summed material weight).
+
+    One ``Counter.update`` per course over its memoized tags (per material
+    when ``weighted``), restricted to ``tree`` by one set intersection.
+    """
+    groups = (
+        (m.mappings for c in courses for m in c.materials)
+        if weighted
+        else (c.tags for c in courses)
+    )
     counts: Counter[str] = Counter()
-    for c in courses:
-        if weighted:
-            for tag, n in c.tag_counts().items():
-                if tree is None or tag in tree:
-                    counts[tag] += n
-        else:
-            for tag in c.tag_set():
-                if tree is None or tag in tree:
-                    counts[tag] += 1
+    for tags in groups:
+        counts.update(tags if tree is None else tree.members(tags))
     return counts
 
 
@@ -83,9 +85,14 @@ def agreement(
     counts = agreement_counts(courses, tree=tree, weighted=weighted)
     dist = tuple(sorted(counts.values(), reverse=True))
     max_k = len(courses) if not weighted else (max(counts.values()) if counts else 0)
-    at_least = {
-        k: sum(1 for v in counts.values() if v >= k) for k in range(1, max_k + 1)
-    }
+    # Every count is >= 1, so ``at_least[k + 1]`` is ``at_least[k]`` less
+    # the tags counted exactly k times.
+    n_with = Counter(counts.values())
+    at_least: dict[int, int] = {}
+    left = len(counts)
+    for k in range(1, max_k + 1):
+        at_least[k] = left
+        left -= n_with[k]
     return AgreementResult(
         n_courses=len(courses),
         counts=counts,

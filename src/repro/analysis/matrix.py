@@ -8,6 +8,7 @@ curriculum guideline."
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, repeat
 from typing import Sequence
 
 import numpy as np
@@ -93,30 +94,27 @@ def build_course_matrix(
         raise ValueError(f"no courses match label {label}")
     if full_universe and tree is None:
         raise ValueError("full_universe requires a guideline tree")
-    # Each course's tags, computed once and held until the fill as a
-    # tuple, which takes a fraction of a set's memory.
-    course_tags = [tuple(c.tag_set()) for c in selected]
+    course_tags = [c.tags for c in selected]
     if full_universe:
         tag_ids = tree.tag_ids()
     else:
         universe = frozenset().union(*course_tags)
         if tree is not None:
-            universe = frozenset(t for t in universe if t in tree)
+            universe = tree.members(universe)
         tag_ids = sorted(universe)
-    # The columns restrict each course to its in-tree tags.
+    # One C-level map sends each course's tags to their columns, or to
+    # -1 for a tag with no column.
     index = {t: j for j, t in enumerate(tag_ids)}
-    n_tags = len(tag_ids)
-    cells = np.fromiter(
-        (
-            i * n_tags + index[t]
-            for i, tags in enumerate(course_tags)
-            for t in tags
-            if t in index
-        ),
+    lengths = list(map(len, course_tags))
+    cols = np.fromiter(
+        map(index.get, chain.from_iterable(course_tags), repeat(-1)),
         dtype=np.intp,
+        count=sum(lengths),
     )
-    a = np.zeros((len(selected), n_tags))
-    np.put(a, cells, 1.0)
+    rows = np.repeat(np.arange(len(selected)), lengths)
+    hit = cols >= 0
+    a = np.zeros((len(selected), len(tag_ids)))
+    a[rows[hit], cols[hit]] = 1.0
     if weighting == "tfidf":
         n = a.shape[0]
         df = a.sum(axis=0)

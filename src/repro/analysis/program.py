@@ -68,7 +68,7 @@ def analyze_program(
         raise ValueError("a program needs at least one course")
     covered: set[str] = set()
     for c in courses:
-        covered |= {t for t in c.tag_set() if t in tree}
+        covered |= tree.members(c.tags)
     core1_missing: list[str] = []
     core2_missing: list[str] = []
     core1_total = core2_total = 0

@@ -1,19 +1,22 @@
 """Courses: named collections of classified materials.
 
 A course's *tag set* — the union of its materials' curriculum mappings — is
-one row of the paper's course x curriculum matrix ``A``.  ``CourseLabel``
-reproduces the name-based grouping of Figure 1 (CS1 / OOP / DS / Algo /
-SoftEng / PDC, plus the unflagged CS2 and networking courses present in the
-roster).
+one row of the paper's course x curriculum matrix ``A``.  Courses are
+immutable, so each memoizes its tag set and content digest on first use.
+``CourseLabel`` reproduces the name-based grouping of Figure 1 (CS1 / OOP /
+DS / Algo / SoftEng / PDC, plus the unflagged CS2 and networking courses
+present in the roster).
 """
 
 from __future__ import annotations
 
 import enum
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 from repro.materials.material import Material, MaterialRole
+from repro.util.digest import canonical_digest
 
 
 class CourseLabel(enum.Enum):
@@ -29,38 +32,59 @@ class CourseLabel(enum.Enum):
     NETWORKING = "Networking"
 
 
-@dataclass
+@dataclass(frozen=True)
 class Course:
-    """A course and its classified materials."""
+    """A course and its classified materials.
+
+    A course is immutable: ``materials`` is coerced to a tuple, and an
+    edited course is a new one, derived with :func:`dataclasses.replace`.
+    That lets it memoize what it derives from its materials on first use:
+    its sorted tag union (:attr:`tags`) and its content digest
+    (:attr:`digest`).
+    """
 
     id: str
     name: str
     institution: str = ""
     instructor: str = ""
     labels: frozenset[CourseLabel] = frozenset()
-    materials: list[Material] = field(default_factory=list)
+    materials: tuple[Material, ...] = ()
 
     def __post_init__(self) -> None:
         if not self.id:
             raise ValueError("course id must be non-empty")
         if not isinstance(self.labels, frozenset):
-            self.labels = frozenset(self.labels)
-        ids = [m.id for m in self.materials]
-        if len(set(ids)) != len(ids):
+            object.__setattr__(self, "labels", frozenset(self.labels))
+        if not isinstance(self.materials, tuple):
+            object.__setattr__(self, "materials", tuple(self.materials))
+        if len({m.id for m in self.materials}) != len(self.materials):
             raise ValueError(f"duplicate material ids in course {self.id!r}")
 
-    def add_material(self, material: Material) -> None:
-        """Append ``material``; rejects duplicate material ids."""
-        if any(m.id == material.id for m in self.materials):
-            raise ValueError(f"material id {material.id!r} already in course {self.id!r}")
-        self.materials.append(material)
+    @cached_property
+    def tags(self) -> tuple[str, ...]:
+        """All guideline tags this course touches, sorted (its matrix row).
+
+        A tuple, not a frozenset: it takes a fraction of the memory, and
+        every course of a resident corpus holds one.
+        """
+        return tuple(sorted(set().union(*(m.mappings for m in self.materials))))
+
+    @cached_property
+    def digest(self) -> str:
+        """Content digest: the header fields plus the materials' memoized
+        digests, computed once per course."""
+        return canonical_digest({
+            "id": self.id,
+            "name": self.name,
+            "institution": self.institution,
+            "instructor": self.instructor,
+            "labels": sorted(l.value for l in self.labels),
+            "materials": [m.digest for m in self.materials],
+        })
 
     def tag_set(self) -> frozenset[str]:
-        """All guideline tags this course touches (the course's matrix row)."""
-        out: set[str] = set()
-        for m in self.materials:
-            out |= m.mappings
-        return frozenset(out)
+        """:attr:`tags` as a set, built on each call."""
+        return frozenset(self.tags)
 
     def tag_counts(self) -> Counter[str]:
         """Tag id → number of materials in this course classified against it.

@@ -62,7 +62,7 @@ def coverage(course: Course, tree: GuidelineTree) -> CoverageReport:
     Only tags belonging to ``tree`` count; a course mapped against both
     CS2013 and PDC12 gets one report per guideline.
     """
-    covered = {t for t in course.tag_set() if t in tree}
+    covered = tree.members(course.tags)
     all_tags = tree.tags()
     core1 = [t for t in all_tags if t.tier is Tier.CORE1]
     core2 = [t for t in all_tags if t.tier is Tier.CORE2]

@@ -4,14 +4,14 @@
 :class:`~repro.ontology.node.OntologyNode`.  It stores parent/child adjacency
 explicitly (rather than deriving it from id paths) so that subtree filters
 can relabel structure without string surgery.  Immutability lets a tree
-memoize what it derives from itself: its digest, its preorder tags and the
-node → knowledge-area index.
+memoize what it derives from itself: its digest, its preorder tags, its
+node-id set and the node → knowledge-area index.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from repro.ontology.node import NodeKind, OntologyNode
 from repro.util.digest import canonical_digest
@@ -67,6 +67,18 @@ class GuidelineTree:
 
     def __contains__(self, node_id: str) -> bool:
         return node_id in self._nodes
+
+    @cached_property
+    def _node_set(self) -> frozenset[str]:
+        return frozenset(self._nodes)
+
+    def members(self, ids: Iterable[str]) -> frozenset[str]:
+        """The ids among ``ids`` that name a node of this tree.
+
+        One set intersection with the memoized node-id set: the bulk form
+        of ``id in tree``, with no per-id Python call.
+        """
+        return self._node_set.intersection(ids)
 
     def __getitem__(self, node_id: str) -> OntologyNode:
         try:

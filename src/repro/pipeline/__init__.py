@@ -9,7 +9,7 @@ after a small corpus change recomputes only the affected nodes.
 * :mod:`~repro.pipeline.core` — the engine: :class:`Pipeline`,
   :class:`PipelineNode`, content keys with early cutoff, wave execution.
 * :mod:`~repro.pipeline.report` — the report DAG:
-  :func:`build_report_pipeline` plus the course/corpus digest helpers.
+  :func:`build_report_pipeline`.
 """
 
 from repro.pipeline.core import (
@@ -21,11 +21,7 @@ from repro.pipeline.core import (
     params_digest,
     value_digest,
 )
-from repro.pipeline.report import (
-    build_report_pipeline,
-    corpus_digest,
-    course_digest,
-)
+from repro.pipeline.report import build_report_pipeline
 
 __all__ = [
     "PIPELINE_FORMAT",
@@ -34,8 +30,6 @@ __all__ = [
     "PipelineNode",
     "PipelineRun",
     "build_report_pipeline",
-    "corpus_digest",
-    "course_digest",
     "params_digest",
     "value_digest",
 ]

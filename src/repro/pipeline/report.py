@@ -53,28 +53,16 @@ from repro.report import (
 # -- input digests -----------------------------------------------------------
 
 
-def course_digest(course: Course) -> str:
-    """Content digest of one course: its header fields plus its materials'
-    memoized digests.  ``Course`` is mutable, so this is never memoized."""
-    return params_digest({
-        "id": course.id,
-        "name": course.name,
-        "institution": course.institution,
-        "instructor": course.instructor,
-        "labels": sorted(l.value for l in course.labels),
-        "materials": [m.digest for m in course.materials],
-    })
-
-
-def corpus_digest(courses: Sequence[Course]) -> str:
-    """Order-sensitive digest of a course sequence (rows of ``A``)."""
-    return params_digest([course_digest(c) for c in courses])
-
-
 @lru_cache(maxsize=4)
 def _catalog_digest() -> str:
     """Digest of the PDC module catalog (anchors-node key ingredient)."""
     return params_digest([dataclasses.asdict(m) for m in MODULE_CATALOG()])
+
+
+@lru_cache(maxsize=1)
+def _roster_mixtures() -> dict[str, tuple[Mapping[str, float], str]]:
+    """Course id → (roster flavor mixture, its digest), encoded once."""
+    return {e.id: (e.mixture, params_digest(dict(e.mixture))) for e in ROSTER}
 
 
 def _labels_digest(courses: Sequence[Course]) -> str:
@@ -199,7 +187,7 @@ def build_report_pipeline(
     if config is None:
         config = ReportConfig()
     courses = list(courses)
-    cdigs = {c.id: course_digest(c) for c in courses}
+    cdigs = {c.id: c.digest for c in courses}
     corpus = params_digest([cdigs[c.id] for c in courses])
     tdig = tree.digest
 
@@ -278,18 +266,20 @@ def build_report_pipeline(
         )
         layout.append(("node", name))
 
-    mixtures = {e.id: e.mixture for e in ROSTER}
+    mixtures = _roster_mixtures()
+    no_mixture = ({}, params_digest({}))
+    catalog = _catalog_digest()
     row_nodes: list[str] = []
     for c in courses:
-        mixture = mixtures.get(c.id, {})
+        mixture, mixture_digest = mixtures.get(c.id, no_mixture)
         row_nodes.append(
             p.add(
                 f"anchors:{c.id}",
                 partial(_node_anchors_row, c, mixture, config.top_modules),
                 params={
                     "course": cdigs[c.id],
-                    "mixture": params_digest(dict(mixture)),
-                    "catalog": _catalog_digest(),
+                    "mixture": mixture_digest,
+                    "catalog": catalog,
                     "top": config.top_modules,
                 },
             )

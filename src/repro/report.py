@@ -83,7 +83,7 @@ def _dataset_section(courses: Sequence[Course]) -> str:
         (
             c.id,
             "/".join(sorted(l.value for l in c.labels)) or "-",
-            len(c.tag_set()),
+            len(c.tags),
             len(c.materials),
         )
         for c in courses

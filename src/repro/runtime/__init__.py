@@ -189,7 +189,7 @@ def summary() -> str:
     if report:
         parts.append(report.summary())
     counters = sanitizer().counters()
-    if counters:
+    if counters.get("sanitizer.violations"):
         pairs = ", ".join(f"{k}={v}" for k, v in sorted(counters.items()))
         parts.append(f"sanitizer: {pairs}")
     return "\n".join(parts)

@@ -15,10 +15,17 @@ preorder tags and a node → area index; :func:`oracle_tags` and
 :func:`oracle_area_of` re-derive both by traversal.
 :func:`oracle_course_matrix` is the two-pass, cell-at-a-time loop that
 :func:`repro.analysis.matrix.build_course_matrix` must match byte for byte.
+
+*Course memos and the agreement counts.*  A course memoizes its tag union
+and its digest.  :func:`oracle_tag_set` re-derives the union material by
+material, :func:`oracle_course_digest` re-encodes the digest recipe, and
+:func:`oracle_agreement_counts` is the per-tag loop that
+:func:`repro.analysis.agreement.agreement_counts` must match.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Any, Mapping, Sequence
 
 import numpy as np
@@ -30,6 +37,7 @@ from repro.factorization.outofcore import _blocked_error, _drop_pages
 from repro.materials.course import Course, CourseLabel
 from repro.ontology.node import NodeKind, OntologyNode
 from repro.ontology.tree import GuidelineTree
+from repro.util.digest import canonical_digest
 from repro.util.validation import check_finite, check_matrix, check_nonnegative
 
 _EPS = np.finfo(np.float64).eps
@@ -229,7 +237,7 @@ def oracle_course_matrix(
     full_universe: bool = False,
     weighting: str = "binary",
 ) -> CourseMatrix:
-    """``A`` by two passes over ``Course.tag_set()``: the column universe
+    """``A`` by two passes over :func:`oracle_tag_set`: the column universe
     first, then one cell at a time."""
     selected = [c for c in courses if label is None or label in c.labels]
     if full_universe:
@@ -237,7 +245,7 @@ def oracle_course_matrix(
     else:
         universe: set[str] = set()
         for c in selected:
-            tags = c.tag_set()
+            tags = oracle_tag_set(c)
             if tree is not None:
                 tags = frozenset(t for t in tags if t in tree)
             universe |= tags
@@ -245,7 +253,7 @@ def oracle_course_matrix(
     index = {t: j for j, t in enumerate(tag_ids)}
     a = np.zeros((len(selected), len(tag_ids)))
     for i, c in enumerate(selected):
-        for t in c.tag_set():
+        for t in oracle_tag_set(c):
             j = index.get(t)
             if j is not None:
                 a[i, j] = 1.0
@@ -255,3 +263,47 @@ def oracle_course_matrix(
         idf = np.log((1.0 + n) / (1.0 + df)) + 1.0
         a = a * idf[None, :]
     return CourseMatrix(a, tuple(c.id for c in selected), tuple(tag_ids))
+
+
+# -- course memos and the agreement counts -----------------------------------
+
+
+def oracle_tag_set(course: Course) -> frozenset[str]:
+    """The union of the course's material mappings, one material at a time."""
+    out: set[str] = set()
+    for m in course.materials:
+        out |= m.mappings
+    return frozenset(out)
+
+
+def oracle_course_digest(course: Course) -> str:
+    """The course digest recipe: header fields plus material digests."""
+    return canonical_digest({
+        "id": course.id,
+        "name": course.name,
+        "institution": course.institution,
+        "instructor": course.instructor,
+        "labels": sorted(l.value for l in course.labels),
+        "materials": [m.digest for m in course.materials],
+    })
+
+
+def oracle_agreement_counts(
+    courses: Sequence[Course],
+    *,
+    tree: GuidelineTree | None = None,
+    weighted: bool = False,
+) -> Counter[str]:
+    """Tag id → courses covering it (or summed material weight), one tag
+    at a time."""
+    counts: Counter[str] = Counter()
+    for c in courses:
+        if weighted:
+            for tag, n in c.tag_counts().items():
+                if tree is None or tag in tree:
+                    counts[tag] += n
+        else:
+            for tag in oracle_tag_set(c):
+                if tree is None or tag in tree:
+                    counts[tag] += 1
+    return counts

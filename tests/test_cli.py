@@ -1,5 +1,6 @@
 """Tests for the command-line interface (invoked in-process)."""
 
+import dataclasses
 import os
 import pathlib
 import re
@@ -225,12 +226,15 @@ class TestReportExplain:
         self._explain(argv, capsys)
 
         course = courses[0]
-        course.add_material(Material(
+        extra = Material(
             id=f"{course.id}-extra",
             title="redundant worksheet",
             mtype=MaterialType.LECTURE,
-            mappings=frozenset(sorted(course.tag_set())[:3]),
-        ))
+            mappings=frozenset(course.tags[:3]),
+        )
+        courses[0] = dataclasses.replace(
+            course, materials=[*course.materials, extra]
+        )
         save_courses(courses, path)
         header, status = self._explain(argv, capsys)
         assert re.fullmatch(

@@ -1,10 +1,13 @@
 """Tests for Material, Course, and MaterialRepository."""
 
+import dataclasses
+
 import pytest
 
 from repro.materials.course import Course, CourseLabel
 from repro.materials.material import Material, MaterialRole, MaterialType, ROLE_OF_TYPE
 from repro.materials.repository import MaterialRepository, SearchQuery
+from tests.oracles import oracle_tag_set
 
 
 def mat(mid, tags, mtype=MaterialType.LECTURE, **kw):
@@ -57,10 +60,30 @@ class TestCourse:
         with pytest.raises(ValueError):
             Course("c", "C", materials=[mat("m", ["a"]), mat("m", ["b"])])
 
-    def test_add_material_rejects_duplicate(self):
+    def test_replace_rejects_duplicate_material(self):
         c = Course("c", "C", materials=[mat("m", ["a"])])
         with pytest.raises(ValueError):
-            c.add_material(mat("m", ["b"]))
+            dataclasses.replace(c, materials=[*c.materials, mat("m", ["b"])])
+
+    @pytest.mark.parametrize(
+        "name", [f.name for f in dataclasses.fields(Course)] + ["tags", "digest"]
+    )
+    def test_fields_and_memos_are_frozen(self, name):
+        c = Course("c", "C", materials=[mat("m", ["a"])])
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(c, name, getattr(c, name))
+
+    def test_list_materials_become_tuple(self):
+        ms = [mat("m1", ["b", "a"]), mat("m2", ["c"])]
+        c = Course("c", "C", materials=ms)
+        assert c.materials == tuple(ms)
+        ms.append(mat("m3", ["d"]))  # the caller's list stays theirs
+        assert len(c) == 2 and c.tags == ("a", "b", "c")
+
+    def test_tags_are_the_sorted_union(self):
+        c = Course("c", "C", materials=[mat("m1", ["b", "x/a"]), mat("m2", ["b"])])
+        assert c.tags == tuple(sorted(oracle_tag_set(c))) == ("b", "x/a")
+        assert Course("e", "Empty").tags == ()
 
     def test_tags_by_role(self):
         c = Course("c", "C", materials=[

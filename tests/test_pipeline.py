@@ -14,6 +14,7 @@ import pathlib
 import pickle
 import subprocess
 import sys
+import threading
 from typing import Mapping
 
 import numpy as np
@@ -23,6 +24,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import repro.runtime as runtime
 from repro.analysis import build_course_matrix
 from repro.analysis.program import analyze_program, pdc_gap
+from repro.corpus.roster import ROSTER
 from repro.curriculum import load_pdc12
 from repro.io.json_io import material_from_dict, material_to_dict
 from repro.materials.course import Course, CourseLabel
@@ -31,7 +33,6 @@ from repro.ontology.serialize import tree_to_dict
 from repro.pipeline import (
     Pipeline,
     build_report_pipeline,
-    course_digest,
     params_digest,
     value_digest,
 )
@@ -39,6 +40,7 @@ from repro.report import FLAVOR_FAMILIES, ReportConfig, build_report, build_repo
 from repro.runtime.cache import ResultCache
 from repro.runtime.faults import set_fault_plan
 from repro.runtime.metrics import metrics
+from tests.oracles import oracle_course_digest, oracle_tag_set
 
 
 @pytest.fixture(autouse=True)
@@ -359,8 +361,8 @@ class TestReportPipeline:
     def test_course_digest_sensitivity(self, dataset):
         _, courses, _ = dataset
         c = list(courses)[0]
-        assert course_digest(c) == course_digest(c)
-        assert course_digest(c) != course_digest(_tag_preserving_update(c))
+        assert c.digest == dataclasses.replace(c).digest
+        assert c.digest != _tag_preserving_update(c).digest
 
 
 def _changed(value):
@@ -399,13 +401,22 @@ class TestInputDigests:
     def course(self, dataset):
         _, courses, _ = dataset
         c = next(c for c in courses if c.labels)
-        # A private copy: tests mutate it in place.
-        return dataclasses.replace(c, materials=list(c.materials))
+        # A fresh copy, so each test starts with its memos unset.
+        return dataclasses.replace(c)
 
-    def test_in_place_add_material_changes_digest(self, course):
-        before = course_digest(course)
-        course.add_material(_material())
-        assert course_digest(course) != before
+    def test_replace_with_one_more_material_changes_digest(self, course):
+        digest, tags = course.digest, course.tag_set()
+        extra = _material(mappings={"x/new-tag"})
+        grown = dataclasses.replace(
+            course, materials=[*course.materials, extra]
+        )
+        assert grown.digest != digest
+        assert grown.tag_set() == tags | {"x/new-tag"}
+        # The original keeps its memo and its materials.
+        assert course.digest == digest and course.tag_set() == tags
+        assert extra not in course.materials
+        assert course.digest == oracle_course_digest(course)
+        assert grown.digest == oracle_course_digest(grown)
 
     @pytest.mark.parametrize(
         "field", [f.name for f in dataclasses.fields(Material)]
@@ -417,7 +428,7 @@ class TestInputDigests:
             course, materials=[edited, *course.materials[1:]]
         )
         assert edited.digest != m.digest
-        assert course_digest(changed) != course_digest(course)
+        assert changed.digest != course.digest
 
     @pytest.mark.parametrize(
         "field",
@@ -427,22 +438,62 @@ class TestInputDigests:
         changed = dataclasses.replace(
             course, **{field: _changed(getattr(course, field))}
         )
-        assert course_digest(changed) != course_digest(course)
+        assert changed.digest != course.digest
 
     def test_equal_materials_built_independently(self):
         a, b = _material(), _material()
         assert a is not b and a == b
         assert a.digest == b.digest
         assert material_from_dict(material_to_dict(a)).digest == a.digest
-        assert course_digest(Course("c", "C", materials=[a])) == course_digest(
-            Course("c", "C", materials=[b])
-        )
+        assert Course("c", "C", materials=[a]).digest == Course(
+            "c", "C", materials=[b]
+        ).digest
 
     def test_survives_pickle(self, course, dataset):
         tree = dataset[0]
-        expected = course_digest(course)  # memoizes every material digest
-        assert course_digest(pickle.loads(pickle.dumps(course))) == expected
+        cold = pickle.loads(pickle.dumps(course))  # memos not yet built
+        digest, tags = course.digest, course.tags
+        warm = pickle.loads(pickle.dumps(course))  # memos travel along
+        for back in (cold, warm):
+            assert back == course
+            assert (back.digest, back.tags) == (digest, tags)
         assert pickle.loads(pickle.dumps(tree)).digest == tree.digest
+
+    def test_concurrent_first_use_agrees(self, course):
+        """Threads racing to build a fresh course's memos all see one
+        answer."""
+        want = (oracle_course_digest(course), oracle_tag_set(course))
+        bad: list[tuple] = []
+
+        def use() -> None:
+            got = (course.digest, course.tag_set())
+            if got != want:
+                bad.append(got)
+
+        threads = [threading.Thread(target=use) for _ in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert bad == []
+
+    def test_anchor_rows_key_on_their_course_mixture(self, dataset):
+        """Planning encodes each roster mixture once; every anchors node
+        still keys on its own course's mixture digest, ``{}`` off-roster."""
+        tree, courses, _ = dataset
+        extra = dataclasses.replace(courses[0], id="zz-off-roster")
+        p = build_report_pipeline([*courses, extra], tree)
+        mixtures = {e.id: e.mixture for e in ROSTER}
+        for c in [*courses, extra]:
+            want = params_digest(dict(mixtures.get(c.id, {})))
+            params = dict(p.node(f"anchors:{c.id}").params)
+            assert params["mixture"] == f"str:{want!r}", c.id
 
     def test_tree_digest_is_canonical_json(self, dataset):
         tree = dataset[0]
@@ -451,12 +502,11 @@ class TestInputDigests:
     def test_independent_of_hash_seed(self, dataset):
         """The on-disk cache layer replays keys across processes."""
         tree, courses, _ = dataset
-        expected = [tree.digest, *(course_digest(c) for c in courses)]
+        expected = [tree.digest, *(c.digest for c in courses)]
         script = (
             "from repro.canonical import load_canonical_dataset\n"
-            "from repro.pipeline import course_digest\n"
             "tree, courses, _ = load_canonical_dataset()\n"
-            "print(tree.digest, *(course_digest(c) for c in courses))\n"
+            "print(tree.digest, *(c.digest for c in courses))\n"
         )
         src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
         for seed in ("0", "4242"):

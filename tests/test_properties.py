@@ -2,6 +2,7 @@
 
 These pin the *invariants* the pipeline relies on, independent of any
 particular dataset: generation determinism, matrix/agreement consistency,
+the rewritten matrix and agreement fills against their reference loops,
 factorization monotonicity, hit-tree conservation laws, recommendation
 monotonicity, and schedule feasibility.
 """
@@ -10,18 +11,19 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.analysis.agreement import agreement
+from repro.analysis.agreement import agreement, agreement_counts
 from repro.analysis.matrix import build_course_matrix
 from repro.anchors.modules import MODULE_CATALOG
 from repro.anchors.recommender import recommend_for_course
 from repro.corpus.generator import sample_course_tags
 from repro.curriculum import load_cs2013
 from repro.factorization.nmf import NMF
-from repro.materials.course import Course
+from repro.materials.course import Course, CourseLabel
 from repro.materials.hittree import build_hit_tree
 from repro.materials.material import Material, MaterialType
 from repro.taskgraph.dag import TaskGraph
 from repro.taskgraph.scheduling import list_schedule
+from tests.oracles import oracle_agreement_counts, oracle_course_matrix
 
 CS2013 = load_cs2013()
 _TAG_POOL = CS2013.tag_ids()[:60]
@@ -83,6 +85,93 @@ class TestMatrixAgreementConsistency:
             assert 0 <= v <= res.n_tags
         assert res.at_least.get(len(courses) + 1, 0) == 0 or \
             len(courses) + 1 not in res.at_least
+
+
+#: Tags, internal nodes (units, an area, the root) and ids of no tree here.
+_ID_POOL = sorted(
+    {*_TAG_POOL[:16], *(CS2013.parent_id(t) for t in _TAG_POOL[:16])}
+    | {CS2013.areas()[0].id, CS2013.root_id, "PDC12/elsewhere", "x"}
+)
+
+
+@st.composite
+def corpora(draw):
+    """1–6 courses of 0–3 materials each, with random labels; a material
+    may map to nothing."""
+    specs = draw(st.lists(
+        st.tuples(
+            st.lists(st.frozensets(st.sampled_from(_ID_POOL), max_size=5),
+                     max_size=3),
+            st.frozensets(st.sampled_from(list(CourseLabel)), max_size=2),
+        ),
+        min_size=1,
+        max_size=6,
+    ))
+    return [
+        Course(f"c{i}", f"C{i}", labels=labels, materials=[
+            Material(f"c{i}/m{j}", "m", MaterialType.LECTURE, tags)
+            for j, tags in enumerate(groups)
+        ])
+        for i, (groups, labels) in enumerate(specs)
+    ]
+
+
+class TestFillsMatchOracles:
+    """``build_course_matrix`` and ``agreement_counts`` read the courses'
+    memoized tags through C-level fills; the per-tag loops in
+    ``tests/oracles.py`` are what they must reproduce."""
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        courses=corpora(),
+        use_tree=st.booleans(),
+        full_universe=st.booleans(),
+        label=st.none() | st.sampled_from(list(CourseLabel)),
+        weighting=st.sampled_from(["binary", "tfidf"]),
+        weighted=st.booleans(),
+        data=st.data(),
+    )
+    def test_fills_match_oracles_and_permute(
+        self, courses, use_tree, full_universe, label, weighting, weighted, data
+    ):
+        tree = CS2013 if use_tree else None
+        kwargs = dict(
+            tree=tree,
+            label=label,
+            full_universe=full_universe and use_tree,
+            weighting=weighting,
+        )
+        shuffled = data.draw(st.permutations(courses))
+        family = [c for c in courses if label is None or label in c.labels]
+        if not family:
+            with pytest.raises(ValueError):
+                build_course_matrix(courses, **kwargs)
+        else:
+            got = build_course_matrix(courses, **kwargs)
+            want = oracle_course_matrix(courses, **kwargs)
+            assert (got.course_ids, got.tag_ids) == (want.course_ids, want.tag_ids)
+            assert got.matrix.tobytes() == want.matrix.tobytes()
+            # Permuting the courses permutes the rows and nothing else.
+            moved = build_course_matrix(shuffled, **kwargs)
+            rows = [got.course_ids.index(cid) for cid in moved.course_ids]
+            assert moved.tag_ids == got.tag_ids
+            assert moved.matrix.tobytes() == got.matrix[rows].tobytes()
+
+        counts = agreement_counts(family, tree=tree, weighted=weighted)
+        assert counts == oracle_agreement_counts(
+            family, tree=tree, weighted=weighted
+        )
+        if family:
+            at_least = agreement(family, tree=tree, weighted=weighted).at_least
+            top = max(counts.values(), default=0) if weighted else len(family)
+            assert list(at_least.items()) == [
+                (k, sum(1 for v in counts.values() if v >= k))
+                for k in range(1, top + 1)
+            ]
+        assert agreement_counts(shuffled, tree=tree, weighted=weighted) == (
+            agreement_counts(courses, tree=tree, weighted=weighted)
+        )
 
 
 class TestHitTreeConservation:
