@@ -1,4 +1,4 @@
-"""Golden digests of the canonical dataset's report and shared analyses.
+"""Golden digests of the canonical dataset's report, analyses and service.
 
 ``build_report == build_report_direct`` cannot catch a change to the
 course matrix or the agreement counts, because both report engines call
@@ -6,7 +6,12 @@ the same code for them.  These sha256 digests pin those outputs byte for
 byte: the rendered report, the dataset section, the corpus and
 flavor-family matrices, and each agreement family's counts.
 
-An intended output change regenerates the file in the same diff::
+``golden/service.json`` pins every JSON document a two-shard
+:class:`~repro.service.ReproService` returns over HTTP for a fixed
+request set.  ``/healthz``, ``/metrics`` and ``/chaos`` are left out:
+they carry uptime, pids and counters.
+
+An intended output change regenerates both files in the same diff::
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -26,8 +31,49 @@ from repro.report import (
     _dataset_section,
     build_report,
 )
+from repro.service import ReproService, ServiceClient, ServiceConfig, ServiceState
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden" / "report.json"
+SERVICE_GOLDEN = GOLDEN.with_name("service.json")
+
+_SETS = "CS2013/SDF/FDS/t-sets-and-maps"
+_EXPRESSIONS = "CS2013/SDF/FPC/t-expressions-and-assignments"
+_NMF = {"seed": 3, "n_restarts": 2}
+
+#: The pinned request set: ``name -> (path, POST body or None for GET)``.
+SERVICE_REQUESTS: dict[str, tuple[str, dict | None]] = {
+    "search:single": ("/search", {"query": {"tags": [_SETS, _EXPRESSIONS]}}),
+    "search:multi": (
+        "/search", {"queries": [{"tags": [_SETS]}, {"text": "exam"}]},
+    ),
+    "search:filtered": ("/search", {
+        "query": {
+            "tags": [_SETS, _EXPRESSIONS],
+            "type": "assignment",
+            "min_mastery": "usage",
+        },
+        "limit": 3,
+    }),
+    "similar:lecture": ("/similar", {"material_id": "uncc-2214-krs/lecture-01"}),
+    "similar:exam": (
+        "/similar", {"material_id": "bsc-210-wagner/exam-1", "limit": 4},
+    ),
+    "coverage:uncc-2214-krs": ("/coverage", {"course_id": "uncc-2214-krs"}),
+    "coverage:tulane-1100-kurdia": (
+        "/coverage", {"course_id": "tulane-1100-kurdia"},
+    ),
+    "typing:corpus": ("/typing", {"k": 4, **_NMF}),
+    "typing:CS1": ("/typing", {"k": 3, "label": "CS1", **_NMF}),
+    "flavors:CS1": ("/flavors", {"k": 3, "label": "CS1", **_NMF}),
+    "flavors:DS": ("/flavors", {"k": 3, "label": "DS", **_NMF}),
+    "anchors:discovery": (
+        "/anchors", {"course_id": "tulane-1100-kurdia", **_NMF},
+    ),
+    "anchors:explicit": ("/anchors", {
+        "course_id": "ccc-40-kerney", "flavors": ["cs1-algorithmic"], "top": 4,
+    }),
+    "corpus": ("/corpus", None),
+}
 
 
 def _sha(data: bytes) -> str:
@@ -69,11 +115,34 @@ def golden_digests() -> dict[str, object]:
     return out
 
 
+def service_digests() -> dict[str, str]:
+    """Digests of the documents a two-shard service serves over HTTP."""
+    tree, courses, _ = load_canonical_dataset()
+    state = ServiceState(tree, courses, config=ServiceConfig(n_shards=2))
+    out: dict[str, str] = {}
+    with ReproService(state) as svc, ServiceClient(*svc.address) as client:
+        for name, (path, body) in SERVICE_REQUESTS.items():
+            if body is None:
+                status, doc = client.get(path)
+            else:
+                status, doc = client.post(path, body)
+            assert status == 200, (name, doc)
+            out[name] = _json_sha(doc)
+    return out
+
+
 def test_canonical_outputs_match_golden():
     assert golden_digests() == json.loads(GOLDEN.read_text())
 
 
+def test_service_documents_match_golden():
+    assert service_digests() == json.loads(SERVICE_GOLDEN.read_text())
+
+
 if __name__ == "__main__":
     GOLDEN.parent.mkdir(exist_ok=True)
-    GOLDEN.write_text(json.dumps(golden_digests(), indent=2, sort_keys=True) + "\n")
-    print(f"wrote {GOLDEN}")
+    for path, digests in (
+        (GOLDEN, golden_digests()), (SERVICE_GOLDEN, service_digests()),
+    ):
+        path.write_text(json.dumps(digests, indent=2, sort_keys=True) + "\n")
+        print(f"wrote {path}")
