@@ -1,8 +1,8 @@
-"""Performance P8 — analysis-as-a-service: broker coalescing, resident shards.
+"""Performance P8 — analysis-as-a-service: broker coalescing.
 
 The service layer (PR 8) must pay for itself: a long-lived server with a
 request-coalescing broker has to beat the same server answering each
-request by itself.  Four phases, streamed into ``BENCH_service.json``:
+request by itself.  Five phases, streamed into ``BENCH_service.json``:
 
 * **identity** — served ``/typing``, ``/flavors``, ``/coverage``,
   ``/search``, ``/similar`` responses are asserted byte-equal (JSON
@@ -19,12 +19,9 @@ request by itself.  Four phases, streamed into ``BENCH_service.json``:
   micro-batching.
 * **mixed** — the default endpoint mix at 8 clients against a subprocess
   server: client-observed per-endpoint p50/p99, zero errors.
-* **resident** — worker-resident shard evidence: after a query burst,
-  ``shard.resident.bytes_shipped`` must stay far below even one pickled
-  shard, i.e. queries ship queries, not repository state.
 * **chaos** (PR 10) — the 3-phase overload/chaos scenario from
   :func:`repro.service.run_chaos_load` against a ``--chaos-ops`` server:
-  baseline, burst-with-deadlines, breaker-trip + worker-kill.  Asserted:
+  baseline, burst-with-deadlines, breaker-trip.  Asserted:
   zero hung clients, zero unclassified errors, every response one of
   success / 503-shed / 504-deadline / degraded-from-cache, and admitted
   p99 within ``P99_BUDGET`` of unloaded p99.
@@ -43,7 +40,6 @@ import contextlib
 import json
 import os
 import pathlib
-import pickle
 import re
 import signal
 import subprocess
@@ -54,7 +50,6 @@ import numpy as np
 import pytest
 
 import repro.runtime as runtime
-from repro.runtime import metrics
 from repro.service import (
     ReproService,
     ServiceConfig,
@@ -197,7 +192,6 @@ def test_served_bit_identity(corpus):
             assert status == 200
             assert _roundtrip(got) == _roundtrip(fn(params)), path
             checked.append(path)
-    direct.close()
     _RESULTS["identity"] = {"bit_identical": True, "endpoints": checked}
     _flush()
 
@@ -287,35 +281,6 @@ def test_mixed_workload_latency(smoke):
     _flush()
 
 
-def test_resident_no_repickling(corpus, smoke):
-    """Queries ship queries, not shards: bytes_shipped << one shard."""
-    tree, courses = corpus
-    runtime.reset()
-    state = ServiceState(tree, courses, config=_config(coalesce=True))
-    shard_pickle = len(pickle.dumps(state.repo.shards[0]))
-    with ReproService(state) as svc, ServiceClient(*svc.address) as client:
-        n_requests = 5 if smoke else 40
-        tags = sorted(tree.tag_ids())
-        for i in range(n_requests):
-            status, _ = client.post(
-                "/search", {"query": {"tags": [tags[i % len(tags)]]}}
-            )
-            assert status == 200
-        shipped = metrics.get("shard.resident.bytes_shipped")
-        served = metrics.get("shard.resident.queries")
-    assert 0 < shipped < shard_pickle, (
-        f"shipped {shipped} bytes vs one shard pickled {shard_pickle}"
-    )
-    _RESULTS["resident"] = {
-        "search_requests": n_requests,
-        "bytes_shipped": int(shipped),
-        "resident_queries": int(served),
-        "one_shard_pickled_bytes": shard_pickle,
-        "bytes_shipped_per_request": shipped / n_requests,
-    }
-    _flush()
-
-
 P99_BUDGET = 3.0  # admitted p99 under chaos <= 3x the unloaded p99
 
 
@@ -329,7 +294,6 @@ def test_overload_chaos(smoke):
             seed=7,
             deadline_ms=2000.0,
             nmf_restarts=NMF_RESTARTS,
-            kill_workers=1,
             trip_breaker=True,
             p99_budget=1e9 if smoke else P99_BUDGET,
         )

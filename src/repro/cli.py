@@ -545,7 +545,6 @@ def _service_state(args):
 
     config = ServiceConfig(
         n_shards=args.shards,
-        resident=not args.no_resident,
         coalesce=not args.no_coalesce,
         max_batch=args.max_batch,
         max_inflight_cheap=args.max_inflight_cheap,
@@ -608,7 +607,6 @@ def cmd_serve(args) -> int:
         )
         print(
             f"  shards={state.repo.n_shards} "
-            f"resident={'on' if state.config.resident else 'off'} "
             f"coalesce={'on' if state.config.coalesce else 'off'} "
             f"deadline={args.deadline_ms:.0f}ms "
             f"chaos_ops={'on' if state.config.chaos_ops else 'off'}",
@@ -646,7 +644,6 @@ def cmd_loadtest(args) -> int:
                 seed=args.seed,
                 nmf_restarts=args.restarts,
                 deadline_ms=args.deadline_ms or 2000.0,
-                kill_workers=args.kill_workers,
             )
             ok = report.ok
         else:
@@ -938,7 +935,7 @@ def build_parser() -> argparse.ArgumentParser:
     sv = sub.add_parser(
         "serve",
         help="run the analysis service: a threaded JSON API with "
-             "request coalescing and worker-resident shards",
+             "request coalescing over in-memory shards",
     )
     sv.add_argument("courses", nargs="?", default=None,
                     help="JSON or JSONL corpus to serve (default: the "
@@ -954,9 +951,6 @@ def build_parser() -> argparse.ArgumentParser:
     sv.add_argument("--no-coalesce", action="store_true",
                     help="dispatch every request individually (the "
                          "load-test baseline)")
-    sv.add_argument("--no-resident", action="store_true",
-                    help="disable the worker-resident shard pool "
-                         "(ship-the-shard fan-out instead)")
     sv.add_argument("--state-dir", default=None, metavar="DIR",
                     help="persist the ingested corpus under DIR "
                          "(checksummed per-shard bundles + JSONL); a "
@@ -1021,9 +1015,6 @@ def build_parser() -> argparse.ArgumentParser:
     lt.add_argument("--burst-concurrency", type=_positive_int, default=None,
                     help="chaos: overload-phase client threads "
                          "(default: 4x --concurrency)")
-    lt.add_argument("--kill-workers", type=_nonneg_int, default=0,
-                    help="chaos: SIGKILL this many resident shard workers "
-                         "via POST /chaos (server needs --chaos-ops)")
     lt.set_defaults(func=cmd_loadtest)
 
     return p

@@ -20,11 +20,7 @@ from repro.materials.material import Material, MaterialRole, MaterialType
 from repro.materials.course import Course, CourseLabel
 from repro.materials.index import QueryPlan, RepositoryIndex
 from repro.materials.repository import MaterialRepository, SearchQuery, SearchResult
-from repro.materials.sharding import (
-    ResidentShardPool,
-    ShardedMaterialRepository,
-    shard_of,
-)
+from repro.materials.sharding import ShardedMaterialRepository, shard_of
 from repro.materials.similarity import (
     cosine_similarity,
     incidence_matrix,
@@ -58,7 +54,6 @@ __all__ = [
     "RepositoryIndex",
     "SearchQuery",
     "SearchResult",
-    "ResidentShardPool",
     "ShardedMaterialRepository",
     "shard_of",
     "cosine_similarity",

@@ -10,8 +10,11 @@ partition, so the same corpus always shards the same way regardless of
 ingestion order.
 
 Every query fans out through the fault-tolerant
-:func:`repro.runtime.executor.parallel_map` (so shard queries inherit the
-retry/timeout/quarantine taxonomy of PR 5) and merges exactly:
+:func:`repro.runtime.executor.parallel_map` (so shard queries inherit its
+retry/timeout/quarantine taxonomy and the active fault plan) and merges
+exactly.  With the default ``workers=1`` the fan-out is a serial
+loop in the calling process, so a query pickles nothing; this is how the
+analysis service answers ``/search`` and ``/similar``.  The merge:
 
 * the per-hit *scores* are pure functions of (material, query) — Jaccard
   over exact integer set sizes — so a shard computes bit-identical floats
@@ -32,7 +35,6 @@ retained/excluded split is preserved under sharding.
 from __future__ import annotations
 
 import hashlib
-import pickle
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -52,13 +54,8 @@ from repro.materials.repository import (
 )
 from repro.materials.similarity import similarity_matrix
 from repro.ontology.tree import GuidelineTree
-from repro.runtime.executor import (
-    ResidentUnavailable,
-    ResidentWorker,
-    parallel_map,
-)
+from repro.runtime.executor import parallel_map
 from repro.runtime.metrics import metrics
-from repro.runtime.sanitize import make_lock
 
 
 def shard_of(material_id: str, n_shards: int) -> int:
@@ -132,355 +129,6 @@ def _merge_ranked(
     return merged[:limit] if limit is not None else merged
 
 
-# -- worker-resident shards --------------------------------------------------
-#
-# The parallel_map fan-out above re-pickles the *entire shard repository*
-# into the pool on every query — fine for one-shot CLI runs, ruinous for
-# a long-lived server.  A ResidentShardPool instead pins each shard into
-# a dedicated :class:`~repro.runtime.executor.ResidentWorker` at startup
-# (the pool initializer installs the shard as process-global state keyed
-# by shard id) and ships only the query payload per call.  The worker's
-# rebuild path re-runs the initializer, so a crashed worker re-hydrates
-# its shard without caller involvement.
-
-#: Worker-process globals: the shard pinned into this process and any
-#: guideline trees registered at pool startup (keyed by parent-side
-#: tokens).  Populated by the pool initializer, never by callers.
-_RESIDENT_SHARDS: dict[int, MaterialRepository] = {}
-_RESIDENT_TREES: dict[str, GuidelineTree] = {}
-
-
-def _install_resident_shards(
-    shard_map: dict[int, MaterialRepository],
-    trees: dict[str, GuidelineTree],
-) -> None:
-    """Pool initializer: pin this worker's shards (and trees) in-process.
-
-    Normally ``shard_map`` holds exactly one shard; after a rebalance a
-    survivor worker adopts the shards of a dead peer, so its map grows.
-    Because the map travels in the worker's *initargs*, a crashed
-    survivor re-hydrates every shard it owns — adopted ones included —
-    without caller involvement.
-    """
-    _RESIDENT_SHARDS.clear()
-    _RESIDENT_SHARDS.update(shard_map)
-    _RESIDENT_TREES.clear()
-    _RESIDENT_TREES.update(trees)
-    # Build each shard's query index once, at install time, so the first
-    # query after a (re)start doesn't pay the indexing cost.
-    for shard in shard_map.values():
-        shard.index  # noqa: B018 - intentional attribute access
-
-
-def _resolve_resident_tree(token) -> GuidelineTree | None:
-    """Worker-side tree lookup: registered reference or inline-shipped.
-
-    Inline trees are *not* cached worker-side: the token key is a
-    parent-side ``id()``, which the parent may reuse for a different
-    tree once the original is garbage collected.
-    """
-    if token is None:
-        return None
-    if token[0] == "inline":
-        return token[2]
-    return _RESIDENT_TREES[token[1]]
-
-
-def _resident_search(payload) -> list[SearchResult]:
-    shard_id, query, token, limit = payload
-    return _RESIDENT_SHARDS[shard_id].search(
-        query, tree=_resolve_resident_tree(token), limit=limit
-    )
-
-
-def _resident_search_many(payload) -> list[list[SearchResult]]:
-    shard_id, queries, token, limit = payload
-    return _RESIDENT_SHARDS[shard_id].search_many(
-        queries, tree=_resolve_resident_tree(token), limit=limit
-    )
-
-
-def _resident_similar(payload) -> list[SearchResult]:
-    shard_id, tags, exclude_id, k = payload
-    return _similar_task((_RESIDENT_SHARDS[shard_id], tags, exclude_id, k))
-
-
-class ResidentShardPool:
-    """One :class:`ResidentWorker` per shard; queries ship payloads only.
-
-    ``trees`` registers guideline trees at startup so queries can refer
-    to them by token instead of shipping them per call; a query against
-    an unregistered tree still works (the tree travels inline, counted
-    under ``shard.resident.tree_inline``).
-
-    Mutations on the owning repository mark the affected shard *stale*;
-    the next query first recycles that shard's worker with the updated
-    state (``reconfigure`` → re-run initializer), so resident results
-    never lag the parent's view.  If a worker exhausts its retry budget,
-    the query falls back to the parent's own shard copy
-    (``shard.resident.local_fallback``) — bit-identical, just slower.
-
-    **Rebalancing**: a worker that raises
-    :class:`~repro.runtime.executor.ResidentUnavailable` (crashed past
-    its retry budget, or closed) is marked dead and its shards are
-    reassigned round-robin to the surviving workers
-    (``shard.resident.rebalance``); the failed query retries once on
-    the new owner before the parent-local fallback.  Survivors adopt
-    shards via ``reconfigure``, so the enlarged shard map lives in
-    their initargs and survives further crashes.  Results stay
-    bit-identical throughout — only placement changes.
-    """
-
-    def __init__(
-        self,
-        repo: "ShardedMaterialRepository",
-        *,
-        trees: Iterable[GuidelineTree | None] = (),
-        task_timeout: float | None = None,
-        task_retries: int | None = None,
-    ) -> None:
-        self._repo = repo
-        self._trees: dict[str, GuidelineTree] = {}
-        for tree in trees:
-            if tree is not None:
-                self._trees[self._tree_key(tree)] = tree
-        self._workers = [
-            ResidentWorker(
-                _install_resident_shards,
-                ({sid: shard}, dict(self._trees)),
-                name=f"shard-{sid}",
-                task_timeout=task_timeout,
-                task_retries=task_retries,
-            )
-            for sid, shard in enumerate(repo.shards)
-        ]
-        self._stale: set[int] = set()
-        self._stale_lock = make_lock("shard.stale")
-        # shard id -> worker index; mutated only by _mark_dead under
-        # _assign_lock.  _dead holds worker indices out of rotation.
-        self._assign_lock = make_lock("shard.assign")
-        self._assignment: list[int] = list(range(len(self._workers)))
-        self._dead: set[int] = set()
-
-    @staticmethod
-    def _tree_key(tree: GuidelineTree) -> str:
-        # Registered trees are strongly referenced by the pool, so their
-        # ids are stable for its whole lifetime.
-        return f"tree-{id(tree):x}"
-
-    # -- lifecycle -----------------------------------------------------------
-
-    def start(self) -> list[int]:
-        """Boot every worker (install shards) and return their pids."""
-        with metrics.timer("shard.resident.startup"):
-            pids = [worker.probe() for worker in self._workers]
-        metrics.inc("shard.resident.workers", len(pids))
-        return pids
-
-    def pids(self) -> list[int | None]:
-        """Worker pids from the last probe (``None`` if never started)."""
-        return [worker.pid for worker in self._workers]
-
-    def mark_stale(self, shard_id: int) -> None:
-        """Record that ``shard_id`` mutated; its worker recycles lazily."""
-        with self._stale_lock:
-            self._stale.add(shard_id)
-
-    def _shard_map_locked(self, worker_index: int) -> dict[int, MaterialRepository]:
-        # Caller holds _assign_lock.
-        return {
-            sid: self._repo.shards[sid]
-            for sid, owner in enumerate(self._assignment)
-            if owner == worker_index
-        }
-
-    def _refresh_stale(self) -> None:
-        with self._stale_lock:
-            stale, self._stale = self._stale, set()
-        if not stale:
-            return
-        with self._assign_lock:
-            owners = sorted({
-                self._assignment[sid]
-                for sid in stale
-                if self._assignment[sid] not in self._dead
-            })
-            maps = [(w, self._shard_map_locked(w)) for w in owners]
-        for worker_index, shard_map in maps:
-            metrics.inc("shard.resident.refresh")
-            self._workers[worker_index].reconfigure(
-                (shard_map, dict(self._trees))
-            )
-
-    # -- failure handling / rebalancing --------------------------------------
-
-    def assignment(self) -> dict[int, int]:
-        """Current shard → worker-index placement (a snapshot copy)."""
-        with self._assign_lock:
-            return dict(enumerate(self._assignment))
-
-    def dead_workers(self) -> list[int]:
-        """Worker indices taken out of rotation by :meth:`_mark_dead`."""
-        with self._assign_lock:
-            return sorted(self._dead)
-
-    def _mark_dead(self, dead_index: int) -> None:
-        """Take a worker out of rotation; survivors adopt its shards.
-
-        Idempotent per worker.  The adopted shards enter the survivors'
-        *initargs* (via ``reconfigure``), so a survivor that later
-        crashes re-hydrates its whole enlarged map.  With no survivors
-        left every query degrades to the parent-local fallback.
-        """
-        with self._assign_lock:
-            if dead_index in self._dead:
-                return
-            self._dead.add(dead_index)
-            metrics.inc("shard.resident.worker_dead")
-            survivors = [
-                w for w in range(len(self._workers)) if w not in self._dead
-            ]
-            moved = [
-                sid
-                for sid, w in enumerate(self._assignment)
-                if w == dead_index
-            ]
-            if not survivors or not moved:
-                return
-            for n, sid in enumerate(moved):
-                self._assignment[sid] = survivors[n % len(survivors)]
-            metrics.inc("shard.resident.rebalance", len(moved))
-            adopters = sorted({self._assignment[sid] for sid in moved})
-            maps = [(w, self._shard_map_locked(w)) for w in adopters]
-        # reconfigure blocks on the worker's old pool draining — never
-        # do that while holding the assignment lock.
-        for worker_index, shard_map in maps:
-            self._workers[worker_index].reconfigure(
-                (shard_map, dict(self._trees))
-            )
-
-    def _retry_on_survivor(self, fn, payload, sid: int, dead_index: int):
-        """After ``dead_index`` failed: rebalance, retry once on the new owner.
-
-        Returns a 1-tuple with the result, or ``None`` when the caller
-        should use its parent-local fallback.
-        """
-        self._mark_dead(dead_index)
-        with self._assign_lock:
-            owner = self._assignment[sid]
-            unavailable = owner in self._dead
-        if unavailable:
-            return None
-        try:
-            return (self._workers[owner].submit(fn, payload).result(),)
-        except ResidentUnavailable:
-            return None
-
-    def close(self, *, force: bool = False) -> None:
-        """Shut down and reap every worker."""
-        for worker in self._workers:
-            worker.close(force=force)
-
-    # -- queries -------------------------------------------------------------
-
-    def _tree_token(self, tree: GuidelineTree | None):
-        if tree is None:
-            return None
-        key = self._tree_key(tree)
-        if key in self._trees:
-            return ("ref", key)
-        metrics.inc("shard.resident.tree_inline")
-        return ("inline", key, tree)
-
-    def _fan_out(self, fn, payloads: list, local) -> list:
-        """One resident call per shard; parent-local fallback per shard.
-
-        ``local(sid)`` recomputes shard ``sid``'s answer on the parent's
-        own copy — the bit-identical escape hatch when a worker is
-        unavailable past its retry budget.
-        """
-        self._refresh_stale()
-        with self._assign_lock:
-            owners = list(self._assignment)
-        calls: list[tuple] = []
-        for sid, payload in enumerate(payloads):
-            metrics.inc(
-                "shard.resident.bytes_shipped", len(pickle.dumps(payload))
-            )
-            metrics.inc("shard.resident.queries")
-            try:
-                calls.append(
-                    (self._workers[owners[sid]].submit(fn, payload), owners[sid])
-                )
-            except ResidentUnavailable:
-                # Dead-at-submit (e.g. a closed worker): resolve below
-                # through the rebalance-and-retry path.
-                calls.append((None, owners[sid]))
-        out = []
-        for sid, (call, owner) in enumerate(calls):
-            try:
-                if call is None:
-                    raise ResidentUnavailable(
-                        f"worker {owner} refused shard {sid} at submit"
-                    )
-                out.append(call.result())
-            except ResidentUnavailable:
-                retried = self._retry_on_survivor(fn, payloads[sid], sid, owner)
-                if retried is not None:
-                    out.append(retried[0])
-                else:
-                    metrics.inc("shard.resident.local_fallback")
-                    out.append(local(sid))
-        return out
-
-    def search(
-        self,
-        query: SearchQuery,
-        tree: GuidelineTree | None,
-        limit: int | None,
-    ) -> list[list[SearchResult]]:
-        token = self._tree_token(tree)
-        return self._fan_out(
-            _resident_search,
-            [(sid, query, token, limit) for sid in range(len(self._workers))],
-            lambda sid: self._repo.shards[sid].search(
-                query, tree=tree, limit=limit
-            ),
-        )
-
-    def search_many(
-        self,
-        queries: list[SearchQuery],
-        tree: GuidelineTree | None,
-        limit: int | None,
-    ) -> list[list[list[SearchResult]]]:
-        token = self._tree_token(tree)
-        return self._fan_out(
-            _resident_search_many,
-            [
-                (sid, queries, token, limit)
-                for sid in range(len(self._workers))
-            ],
-            lambda sid: self._repo.shards[sid].search_many(
-                queries, tree=tree, limit=limit
-            ),
-        )
-
-    def find_similar(
-        self, tags: frozenset, exclude_id: str, limit: int
-    ) -> list[list[SearchResult]]:
-        return self._fan_out(
-            _resident_similar,
-            [
-                (sid, tags, exclude_id, limit)
-                for sid in range(len(self._workers))
-            ],
-            lambda sid: _similar_task(
-                (self._repo.shards[sid], tags, exclude_id, limit)
-            ),
-        )
-
-
 class ShardedMaterialRepository:
     """``n_shards`` flat repositories behind the flat repository's API.
 
@@ -489,10 +137,10 @@ class ShardedMaterialRepository:
     ``search_many`` / ``find_similar`` / ``similarity_matrix`` / ``stats``),
     with results bit-identical to a flat repository fed the same corpus in
     the same order.  ``workers`` controls query fan-out: 1 (default) runs
-    shards serially in-process; >1 dispatches shard queries through the
-    fault-tolerant process pool.  :meth:`start_resident` switches queries
-    to a worker-resident pool (shards pinned into long-lived workers, no
-    per-query shard pickling) — the serving-layer configuration.
+    shards serially in-process — what the analysis service uses, since
+    its shards stay warm in the server process; >1 dispatches shard
+    queries through the fault-tolerant process pool, pickling each shard
+    into the pool per query.
     """
 
     def __init__(self, n_shards: int = 4, *, workers: int | None = 1) -> None:
@@ -504,7 +152,6 @@ class ShardedMaterialRepository:
         self._courses: dict[str, Course] = {}
         self._material_shard: dict[str, int] = {}
         self._order: list[str] = []  # material ids in global insertion order
-        self._resident: ResidentShardPool | None = None
 
     @classmethod
     def from_parts(
@@ -545,46 +192,6 @@ class ShardedMaterialRepository:
         """Materials per shard — the balance of the hash partition."""
         return [shard.n_materials for shard in self._shards]
 
-    # -- resident pool --------------------------------------------------------
-
-    @property
-    def resident(self) -> ResidentShardPool | None:
-        """The attached worker-resident pool, if :meth:`start_resident` ran."""
-        return self._resident
-
-    def start_resident(
-        self,
-        *,
-        trees: Iterable[GuidelineTree | None] = (),
-        task_timeout: float | None = None,
-        task_retries: int | None = None,
-    ) -> list[int]:
-        """Pin each shard into a dedicated worker; return the worker pids.
-
-        After this, ``search``/``search_many``/``find_similar`` ship only
-        query payloads to the resident workers instead of re-pickling
-        shard state per query.  Register the guideline trees queries will
-        use via ``trees`` so they too stay resident.  Results remain
-        bit-identical to the fan-out and flat paths.
-        """
-        if self._resident is not None:
-            raise RuntimeError("resident shard pool already attached")
-        pool = ResidentShardPool(
-            self,
-            trees=trees,
-            task_timeout=task_timeout,
-            task_retries=task_retries,
-        )
-        pids = pool.start()
-        self._resident = pool
-        return pids
-
-    def close_resident(self, *, force: bool = False) -> None:
-        """Detach and shut down the resident pool (no-op when absent)."""
-        pool, self._resident = self._resident, None
-        if pool is not None:
-            pool.close(force=force)
-
     # -- ingestion -------------------------------------------------------------
 
     def add_material(self, material: Material) -> None:
@@ -597,8 +204,6 @@ class ShardedMaterialRepository:
         self._shards[s].add_material(material)
         self._material_shard[material.id] = s
         self._order.append(material.id)
-        if self._resident is not None:
-            self._resident.mark_stale(s)
 
     def add_course(self, course: Course) -> None:
         """Register ``course``; its materials scatter to their hash shards.
@@ -707,15 +312,10 @@ class ShardedMaterialRepository:
         MaterialRepository._validate_level_filters(query, tree)
         with metrics.timer("shard.search"):
             metrics.inc("shard.search.queries")
-            if self._resident is not None:
-                per_shard = self._resident.search(query, tree, limit)
-            else:
-                payloads = [
-                    (shard, query, tree, limit) for shard in self._shards
-                ]
-                per_shard = parallel_map(
-                    _search_task, payloads, workers=self._workers
-                )
+            payloads = [(shard, query, tree, limit) for shard in self._shards]
+            per_shard = parallel_map(
+                _search_task, payloads, workers=self._workers
+            )
             return _merge_ranked(per_shard, limit)
 
     def search_many(
@@ -733,18 +333,12 @@ class ShardedMaterialRepository:
             return []
         with metrics.timer("shard.search_many"):
             metrics.inc("shard.search_many.queries", len(queries))
-            if self._resident is not None:
-                per_shard = self._resident.search_many(
-                    list(queries), tree, limit
-                )
-            else:
-                payloads = [
-                    (shard, list(queries), tree, limit)
-                    for shard in self._shards
-                ]
-                per_shard = parallel_map(
-                    _search_many_task, payloads, workers=self._workers
-                )
+            payloads = [
+                (shard, list(queries), tree, limit) for shard in self._shards
+            ]
+            per_shard = parallel_map(
+                _search_many_task, payloads, workers=self._workers
+            )
             return [
                 _merge_ranked([hits[qi] for hits in per_shard], limit)
                 for qi in range(len(queries))
@@ -759,18 +353,13 @@ class ShardedMaterialRepository:
         ref = self.material(material_id)
         with metrics.timer("shard.find_similar"):
             metrics.inc("shard.find_similar.queries")
-            if self._resident is not None:
-                per_shard = self._resident.find_similar(
-                    ref.mappings, material_id, limit
-                )
-            else:
-                payloads = [
-                    (shard, ref.mappings, material_id, limit)
-                    for shard in self._shards
-                ]
-                per_shard = parallel_map(
-                    _similar_task, payloads, workers=self._workers
-                )
+            payloads = [
+                (shard, ref.mappings, material_id, limit)
+                for shard in self._shards
+            ]
+            per_shard = parallel_map(
+                _similar_task, payloads, workers=self._workers
+            )
             return _merge_ranked(per_shard, limit)
 
     def similarity_matrix(self, *, metric: str = "jaccard") -> np.ndarray:

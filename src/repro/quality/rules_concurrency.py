@@ -1,7 +1,7 @@
 """Concurrency rules (RPR5xx).
 
-PRs 5–8 made the runtime threaded — broker lanes, handler threads,
-resident pools, locked caches and metrics — and these rules guard the
+The runtime is threaded — broker lanes, handler threads, admission
+gates, locked caches and metrics — and these rules guard the
 invariants that keep that layer correct, using the cross-method and
 cross-file models from :mod:`repro.quality.concurrency`:
 

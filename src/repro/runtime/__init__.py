@@ -43,8 +43,6 @@ from repro.runtime.executor import (
     DEFAULT_TASK_RETRIES,
     FailureEvent,
     FailureReport,
-    ResidentUnavailable,
-    ResidentWorker,
     TaskError,
     failure_report,
     parallel_map,
@@ -97,8 +95,6 @@ __all__ = [
     "InjectedTaskError",
     "MetricsRegistry",
     "NMF_KEY_PARAMS",
-    "ResidentUnavailable",
-    "ResidentWorker",
     "ResultCache",
     "TaskError",
     "TimerStat",

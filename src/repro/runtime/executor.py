@@ -84,7 +84,7 @@ from repro.runtime.faults import (
     apply_task_faults,
 )
 from repro.runtime.metrics import metrics
-from repro.runtime.sanitize import lock_factory, make_lock
+from repro.runtime.sanitize import lock_factory
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -395,7 +395,6 @@ def parallel_map(
     items: Sequence[T],
     *,
     workers: int | None = None,
-    chunksize: int = 1,
     timeout: float | None = None,
     retries: int | None = None,
 ) -> list[R]:
@@ -417,11 +416,7 @@ def parallel_map(
     under ``executor.fallback``.  ``timeout`` bounds the wait per task
     (resolution: argument > ``configure(task_timeout=)`` >
     ``REPRO_TASK_TIMEOUT`` > unbounded).
-
-    ``chunksize`` is accepted for backward compatibility and ignored:
-    per-task dispatch is what makes per-task recovery possible.
     """
-    del chunksize  # per-task submit supersedes chunked map
     items = list(items)
     n_workers = min(resolve_workers(workers), max(len(items), 1))
     task_timeout = resolve_task_timeout(timeout)
@@ -884,273 +879,3 @@ def cached_nmf_fits(
         out.append(hit)
     metrics.inc("runtime.nmf_degraded_hits", len(out))
     return out
-
-
-# -- resident workers --------------------------------------------------------
-#
-# parallel_map ships every task's full payload into a throwaway pool; a
-# ResidentWorker inverts that: heavy state is installed *once* into one
-# long-lived worker process (via the pool initializer) and every call
-# ships only its small query payload.  The sharded repository pins one
-# shard per resident worker (see repro.materials.sharding), which is
-# what removes the per-query shard re-pickling cost.
-
-
-class ResidentUnavailable(RuntimeError):
-    """A resident worker could not serve a call within its retry budget.
-
-    Raised only for *infrastructure* failures (worker crashes, timeouts,
-    failed re-hydration) — task-raised exceptions surface as
-    :class:`TaskError` immediately.  Callers with a local copy of the
-    resident state should catch this and fall back to computing in the
-    parent process.
-    """
-
-
-def _resident_probe(payload: Any) -> int:
-    """Round-trip task: proves the worker is up and returns its pid."""
-    return os.getpid()
-
-
-class _ResidentCall:
-    """Handle for one in-flight resident call; created by ``submit``.
-
-    Holds the function and payload so the owning worker can resubmit the
-    call after a crash/rebuild.  ``result()`` blocks (driving recovery if
-    needed) and returns the task's value.
-    """
-
-    __slots__ = ("_worker", "fn", "payload", "future", "generation")
-
-    def __init__(self, worker: "ResidentWorker", fn: Callable, payload: Any):
-        self._worker = worker
-        self.fn = fn
-        self.payload = payload
-        self.future, self.generation = worker._submit(fn, payload)
-
-    def result(self) -> Any:
-        return self._worker._await(self)
-
-
-class ResidentWorker:
-    """One persistent single-process worker with state installed at start.
-
-    ``initializer(*initargs)`` runs inside the worker at every (re)start
-    — including the rebuild after a crash — so the worker's resident
-    state re-hydrates without the caller ever re-shipping it per call.
-    The pool is created lazily on first use; ``reconfigure`` swaps the
-    initargs and recycles the worker so the next call sees fresh state.
-
-    Thread-safe: concurrent callers share the worker (calls queue in the
-    pool), and recovery is generation-guarded so two callers observing
-    the same crash tear the pool down only once.
-    """
-
-    def __init__(
-        self,
-        initializer: Callable[..., None],
-        initargs: Sequence[Any] = (),
-        *,
-        name: str = "resident",
-        task_timeout: float | None = None,
-        task_retries: int | None = None,
-    ) -> None:
-        self._initializer = initializer
-        self._initargs = tuple(initargs)
-        self._name = name
-        self._task_timeout = task_timeout
-        self._task_retries = task_retries
-        self._lock = make_lock("executor.resident")
-        self._pool: ProcessPoolExecutor | None = None
-        self._generation = 0
-        self._rebuilds = 0
-        self._started = False
-        self._closed = False
-        self._pid: int | None = None
-
-    # -- lifecycle -----------------------------------------------------------
-
-    def _submit(
-        self, fn: Callable, payload: Any
-    ) -> tuple[concurrent.futures.Future, int]:
-        """Ensure the pool exists and submit; returns (future, generation)."""
-        with self._lock:
-            if self._closed:
-                raise ResidentUnavailable(
-                    f"resident worker {self._name!r} is closed"
-                )
-            last_error: BaseException | None = None
-            for _ in range(2):
-                if self._pool is None:
-                    self._pool = ProcessPoolExecutor(
-                        max_workers=1,
-                        initializer=self._initializer,
-                        initargs=self._initargs,
-                    )
-                    if self._started:
-                        metrics.inc("executor.resident.rehydrate")
-                    else:
-                        metrics.inc("executor.resident.start")
-                        self._started = True
-                try:
-                    return self._pool.submit(fn, payload), self._generation
-                except BrokenProcessPool as exc:
-                    # A worker death discovered before anyone awaited a
-                    # result breaks the pool at *submit* time.  Recycle
-                    # inline and resubmit to a fresh pool — the rerun
-                    # initializer re-hydrates the resident state.
-                    last_error = exc
-                    _teardown_pool(self._pool)
-                    self._pool = None
-                    self._generation += 1
-                    metrics.inc("executor.pool_rebuild")
-            raise ResidentUnavailable(
-                f"resident worker {self._name!r} broke at submit:"
-                f" {last_error!r}"
-            ) from last_error
-
-    def reconfigure(self, initargs: Sequence[Any]) -> None:
-        """Swap the resident state; the worker recycles on the next call.
-
-        The current worker (if any) is shut down after its in-flight
-        calls drain, so callers racing a reconfigure get either the old
-        state or the new — never a torn mix.
-        """
-        with self._lock:
-            pool, self._pool = self._pool, None
-            self._initargs = tuple(initargs)
-            self._generation += 1
-            metrics.inc("executor.resident.reconfigure")
-        if pool is not None:
-            pool.shutdown(wait=True, cancel_futures=False)
-
-    def probe(self) -> int:
-        """Round-trip the worker (starting it if needed); returns its pid."""
-        pid = int(self.call(_resident_probe, None))
-        self._pid = pid
-        return pid
-
-    @property
-    def pid(self) -> int | None:
-        """Worker pid from the last successful :meth:`probe` (or ``None``)."""
-        return self._pid
-
-    def close(self, *, force: bool = False) -> None:
-        """Shut the worker down and reap its process.
-
-        ``force=True`` terminates the worker instead of waiting for
-        in-flight calls (the untrusted-pool teardown path).
-        """
-        with self._lock:
-            self._closed = True
-            pool, self._pool = self._pool, None
-        if pool is not None:
-            if force:
-                _teardown_pool(pool)
-            else:
-                pool.shutdown(wait=True, cancel_futures=True)
-
-    # -- calling -------------------------------------------------------------
-
-    def submit(self, fn: Callable, payload: Any) -> _ResidentCall:
-        """Start ``fn(payload)`` in the worker; block via ``.result()``."""
-        return _ResidentCall(self, fn, payload)
-
-    def call(self, fn: Callable, payload: Any) -> Any:
-        """Run ``fn(payload)`` in the worker and return its value."""
-        return self.submit(fn, payload).result()
-
-    def _recover(
-        self, generation: int, kind: str, error: BaseException
-    ) -> None:
-        """Tear down and recycle after an infrastructure failure.
-
-        Generation-guarded: if another caller already recovered from the
-        same crash (generation moved on), this is a no-op beyond backoff.
-        """
-        sleep_s = 0.0
-        with self._lock:
-            if self._closed:
-                raise ResidentUnavailable(
-                    f"resident worker {self._name!r} is closed"
-                ) from error
-            if self._generation == generation:
-                if self._pool is not None:
-                    _teardown_pool(self._pool)
-                    self._pool = None
-                self._generation += 1
-                _failure_report.add(
-                    kind, error=error,
-                    detail=f"resident worker {self._name!r}",
-                )
-                if kind == "task_timeout":
-                    metrics.inc("executor.task_timeout")
-                metrics.inc("executor.pool_rebuild")
-                sleep_s = min(
-                    _BACKOFF_BASE_S * (2 ** self._rebuilds), _BACKOFF_CAP_S
-                )
-                self._rebuilds += 1
-        if sleep_s:
-            time.sleep(sleep_s)
-
-    def _await(self, call: _ResidentCall) -> Any:
-        max_retries = resolve_task_retries(self._task_retries)
-        timeout = resolve_task_timeout(self._task_timeout)
-        attempts = 0
-        while True:
-            try:
-                return call.future.result(timeout=timeout)
-            except TransientTaskError as exc:
-                if attempts >= max_retries:
-                    _failure_report.add(
-                        "task_error", attempt=attempts, error=exc,
-                        detail=f"resident worker {self._name!r}",
-                    )
-                    metrics.inc("executor.task_error")
-                    raise TaskError(0, exc, traceback.format_exc()) from exc
-                attempts += 1
-                _failure_report.add(
-                    "retry", attempt=attempts, error=exc,
-                    detail=f"transient task failure (resident {self._name!r})",
-                )
-                metrics.inc("executor.retry")
-                call.future, call.generation = self._submit(
-                    call.fn, call.payload
-                )
-                continue
-            except BrokenProcessPool as exc:
-                kind: str = "pool_rebuild"
-                failure: BaseException = exc
-            except (KeyboardInterrupt, SystemExit):
-                raise
-            except BaseException as exc:
-                timed_out = isinstance(
-                    exc, (concurrent.futures.TimeoutError, TimeoutError)
-                ) and not call.future.done()
-                if timed_out:
-                    kind = "task_timeout"
-                    failure = TimeoutError(
-                        f"resident worker {self._name!r}: no result within "
-                        f"{timeout}s"
-                    )
-                elif isinstance(exc, OSError) and not _raised_in_worker(exc):
-                    kind = "pool_rebuild"
-                    failure = exc
-                else:
-                    _failure_report.add(
-                        "task_error", attempt=attempts, error=exc,
-                        detail=f"resident worker {self._name!r}",
-                    )
-                    metrics.inc("executor.task_error")
-                    raise TaskError(0, exc, traceback.format_exc()) from exc
-            # Infrastructure failure: recycle the worker (re-running the
-            # initializer re-hydrates its resident state) and retry.
-            if attempts >= max_retries:
-                raise ResidentUnavailable(
-                    f"resident worker {self._name!r} failed after "
-                    f"{attempts + 1} attempt(s): {failure!r}"
-                ) from failure
-            attempts += 1
-            metrics.inc("executor.retry")
-            self._recover(call.generation, kind, failure)
-            call.future, call.generation = self._submit(call.fn, call.payload)

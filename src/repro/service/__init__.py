@@ -6,9 +6,9 @@ Layers, bottom up:
   NMF-bearing requests micro-batch into single
   :func:`repro.runtime.run_nmf_fits` calls, concurrent searches into
   single ``search_many`` calls, behind per-request futures.
-* :mod:`~repro.service.state` — the warm corpus (sharded repository
-  with worker-resident shards, cached family matrices) and the
-  endpoint logic, HTTP-free.
+* :mod:`~repro.service.state` — the warm corpus (a sharded repository
+  queried in-process, cached family matrices) and the endpoint logic,
+  HTTP-free.
 * :mod:`~repro.service.admission` — the overload controls: bounded
   admission gates per endpoint class, monotonic request deadlines,
   and circuit breakers around the broker lanes.

@@ -18,7 +18,7 @@ degrade; see docs/ARCHITECTURE.md "Overload & recovery"):
   ``remaining()``; a request that cannot finish in time fails with
   :class:`DeadlineExceeded` (HTTP 504) instead of blocking its client.
 * :class:`CircuitBreaker` — a failure-counting switch around a
-  dependency (a broker lane, the resident shard pool).  ``threshold``
+  dependency (a broker lane).  ``threshold``
   consecutive failures open it; while open, calls fail fast with
   :class:`BreakerOpen` (HTTP 503, or degraded-mode serving when a
   cached result exists); after ``recovery_s`` one half-open probe is

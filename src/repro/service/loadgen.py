@@ -500,7 +500,6 @@ def run_chaos_load(
     mix: str | dict[str, float] = CHAOS_MIX,
     nmf_k: int = 4,
     nmf_restarts: int = 2,
-    kill_workers: int = 0,
     trip_breaker: bool = True,
     p99_budget: float = 3.0,
     timeout: float = 120.0,
@@ -519,10 +518,8 @@ def run_chaos_load(
        baseline p99;
     3. **chaos** — with ``trip_breaker`` the NMF lane's breaker is
        forced open via ``POST /chaos`` (requests hit the degraded
-       cached path warmed in phase 1); ``kill_workers`` resident
-       workers are SIGKILLed the same way (queries must keep
-       answering through rehydration/fallback).  Requires the server
-       to run with chaos ops enabled (``repro serve --chaos-ops``).
+       cached path warmed in phase 1).  Requires the server to run
+       with chaos ops enabled (``repro serve --chaos-ops``).
 
     Returns a :class:`ChaosReport`; ``report.ok`` is the pass/fail the
     CI smoke gate asserts on.
@@ -565,26 +562,15 @@ def run_chaos_load(
         phases["overload"] = overload.to_dict()
 
         chaos = None
-        if trip_breaker or kill_workers:
-            ops = pool.client(0)
-            if trip_breaker:
-                status, doc = ops.post(
-                    "/chaos", {"op": "trip_breaker", "lane": "nmf"}
+        if trip_breaker:
+            status, doc = pool.client(0).post(
+                "/chaos", {"op": "trip_breaker", "lane": "nmf"}
+            )
+            if status != 200:
+                violations.append(
+                    f"chaos op trip_breaker failed: HTTP {status} "
+                    f"{doc.get('error')} (serve with --chaos-ops?)"
                 )
-                if status != 200:
-                    violations.append(
-                        f"chaos op trip_breaker failed: HTTP {status} "
-                        f"{doc.get('error')} (serve with --chaos-ops?)"
-                    )
-            for i in range(kill_workers):
-                status, doc = ops.post(
-                    "/chaos", {"op": "kill_worker", "index": i}
-                )
-                if status != 200:
-                    violations.append(
-                        f"chaos op kill_worker failed: HTTP {status} "
-                        f"{doc.get('error')}"
-                    )
             chaos = run_load(
                 host, port,
                 concurrency=concurrency,
@@ -631,7 +617,7 @@ def run_chaos_load(
                 f"unloaded p99 (budget {p99_budget:.1f}x) — admission "
                 "is letting queues build"
             )
-    if trip_breaker and chaos is not None:
+    if chaos is not None:
         served_degraded_or_fast = (
             chaos.degraded + chaos.breaker_open + chaos.shed
         )

@@ -4,15 +4,17 @@
 :class:`~repro.service.broker.RequestBroker` behind a
 :class:`~http.server.ThreadingHTTPServer`.  Handler threads do the cheap
 per-request work (parse, validate, serialize); anything touching an NMF
-kernel or the shard fan-out is expressed as a broker job, so concurrent
+kernel or a batched search is expressed as a broker job, so concurrent
 requests coalesce into single kernel calls while each handler blocks on
-its own future.
+its own future.  Everything runs in the server process: shard queries
+fan out serially over shards held in memory, and no worker process is
+started.
 
 Endpoints (all JSON; POST bodies are JSON objects, GET uses query
 strings):
 
 ====================  ======================================================
-``GET /healthz``      liveness + corpus/worker counts
+``GET /healthz``      liveness, corpus counts, breaker/admission state
 ``GET /metrics``      runtime metrics snapshot (counters, timers,
                       latency histograms, cache stats, failure report)
 ``GET /corpus``       served ids (courses, sample of materials, tags) —
@@ -36,19 +38,16 @@ whose budget runs out answer 504; when the NMF lane's circuit breaker
 is open (or the budget is too tight for a cold fit) a cached
 factorization is served flagged ``"degraded": true``.
 
-Shutdown drains: the accept loop stops, queued admission waiters shed
-with a fast 503, in-flight handlers run to completion (handler threads
-are joined), queued broker batches flush, then the resident shard pool
-is reaped.  During draining new requests get 503 with ``Connection:
-close``.
+Shutdown drains: queued admission waiters shed with a fast 503, the
+accept loop stops, in-flight handlers run to completion (handler
+threads are joined), then queued broker batches flush.  During draining
+new requests get 503 with ``Connection: close``.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import os
-import signal
 import threading
 import time
 from concurrent.futures import TimeoutError as _FutureTimeout
@@ -286,7 +285,6 @@ class ReproService:
     def start(self) -> tuple[str, int]:
         if self._httpd is not None:
             return self.address
-        self.state.start()
         self._httpd = _Server((self._host, self._port), _Handler)
         self._httpd.service = self
         self._port = self._httpd.server_address[1]
@@ -301,16 +299,15 @@ class ReproService:
         metrics.inc("service.starts")
         return self.address
 
-    def close(self, *, force: bool = False) -> dict:
+    def close(self) -> dict:
         """Drain and stop; idempotent.  Returns the final metrics snapshot.
 
-        Order matters: stop accepting, shed the admission queues (a
-        request parked at a gate would otherwise hang the handler join
-        below — it holds a handler thread but will never get a slot
-        once traffic stops), join in-flight handler threads (they may
-        still be blocked on broker futures — the broker is alive),
-        flush the broker's queued batches, then tear down the resident
-        shard pool.
+        Order matters: shed the admission queues (a request parked at a
+        gate would otherwise hang the handler join below — it holds a
+        handler thread but will never get a slot once traffic stops),
+        stop accepting, join in-flight handler threads (they may still
+        be blocked on broker futures — the broker is alive), then flush
+        the broker's queued batches.
         """
         if self._httpd is None:
             return self.final_metrics or metrics.snapshot()
@@ -322,7 +319,6 @@ class ReproService:
         if self._thread is not None:
             self._thread.join(timeout=10.0)
         self.broker.close()  # flush queued batches
-        self.state.close(force=force)
         metrics.inc("service.shutdowns")
         self.final_metrics = metrics.snapshot()
         self._httpd = None
@@ -356,8 +352,9 @@ class ReproService:
             doc["admission"] = {
                 cls: gate.snapshot() for cls, gate in self.gates.items()
             }
-            resident = state.repo.resident
-            doc["resident_pids"] = resident.pids() if resident else []
+            # No worker processes: the server's own footprint is the
+            # whole footprint.  Kept for clients that sum RSS over it.
+            doc["resident_pids"] = []
             return doc
         if path == "/metrics":
             return self.metrics_doc()
@@ -448,10 +445,9 @@ class ReproService:
     def _chaos(self, params: dict) -> dict:
         """``POST /chaos``: fault injection, enabled by ``chaos_ops``.
 
-        Ops: ``trip_breaker`` (force a lane breaker open) and
-        ``kill_worker`` (SIGKILL one resident shard worker) — the two
-        faults the chaos load test needs to exercise degraded-mode
-        serving and the rebalance path from outside the process.
+        One op, ``trip_breaker``: force a lane breaker open, so the
+        chaos load test can exercise degraded-mode serving from outside
+        the process.
         """
         if not self.state.config.chaos_ops:
             raise ServiceError(404, "no route '/chaos'")
@@ -463,18 +459,7 @@ class ReproService:
             self.broker.breakers[lane].trip("chaos trip_breaker op")
             metrics.inc("service.chaos.ops")
             return {"ok": True, "op": op, "lane": lane}
-        if op == "kill_worker":
-            resident = self.state.repo.resident
-            pids = resident.pids() if resident else []
-            if not pids:
-                raise ServiceError(400, "no resident workers to kill")
-            index = int(params.get("index", 0)) % len(pids)
-            os.kill(pids[index], signal.SIGKILL)
-            metrics.inc("service.chaos.ops")
-            return {"ok": True, "op": op, "pid": pids[index]}
-        raise ServiceError(
-            400, f"op must be trip_breaker or kill_worker, got {op!r}"
-        )
+        raise ServiceError(400, f"op must be trip_breaker, got {op!r}")
 
     def metrics_doc(self) -> dict:
         doc = metrics.snapshot()

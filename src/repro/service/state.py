@@ -4,8 +4,9 @@ One :class:`ServiceState` owns everything a server process keeps warm
 between requests:
 
 * the guideline tree, the ingested corpus (a
-  :class:`~repro.materials.ShardedMaterialRepository` with its
-  worker-resident shard pool), and the corpus course matrix;
+  :class:`~repro.materials.ShardedMaterialRepository` whose shards stay
+  warm in this process and answer queries through a serial fan-out),
+  and the corpus course matrix;
 * lazily built **family matrices** (per course-label submatrices) behind
   a lock, cached so concurrent requests for the same family share one
   matrix *object* — which is what lets the broker group their NMF jobs
@@ -71,7 +72,9 @@ class ServiceConfig:
     form the next one, at most ``max_batch`` requests per dispatch.
     ``coalesce=False`` turns off micro-batching (requests still flow
     through the broker's dispatch code, one at a time) — the load-test
-    baseline.  ``resident=False`` falls back to ship-the-shard fan-out.
+    baseline.  ``resident`` has one legal value, ``False``: shard
+    queries always run in the server process.  The field stays so
+    that callers passing ``resident=False`` keep working.
 
     Overload controls (see :mod:`repro.service.admission`): the
     ``max_inflight_*`` / ``max_queue_*`` pairs bound each endpoint
@@ -87,7 +90,7 @@ class ServiceConfig:
     """
 
     n_shards: int = 4
-    resident: bool = True
+    resident: bool = False
     coalesce: bool = True
     max_batch: int = 32
     default_k: int = 4
@@ -102,6 +105,14 @@ class ServiceConfig:
     breaker_recovery_s: float = 2.0
     degrade_floor_s: float = 0.05
     chaos_ops: bool = False
+
+    def __post_init__(self) -> None:
+        if self.resident:
+            raise ValueError(
+                "resident=True is no longer supported: the worker-resident "
+                "shard pool was removed, and shard queries run in the "
+                "server process"
+            )
 
 
 # -- parameter parsing -------------------------------------------------------
@@ -213,21 +224,6 @@ class ServiceState:
         self._mixtures: dict[str, dict[str, float]] = {
             entry.id: dict(entry.mixture) for entry in ROSTER
         }
-        self._started = False
-
-    # -- lifecycle -----------------------------------------------------------
-
-    def start(self) -> list[int]:
-        """Warm the worker-resident shard pool; returns worker pids."""
-        if self._started:
-            return self.repo.resident.pids() if self.repo.resident else []
-        self._started = True
-        if self.config.resident:
-            return self.repo.start_resident(trees=[self.tree])
-        return []
-
-    def close(self, *, force: bool = False) -> None:
-        self.repo.close_resident(force=force)
 
     # -- shared lookups ------------------------------------------------------
 
@@ -280,13 +276,11 @@ class ServiceState:
     # -- direct endpoints (no kernel work, answered inline) ------------------
 
     def healthz(self, params: Mapping) -> dict:
-        resident = self.repo.resident
         return {
             "status": "ok",
             "n_courses": self.repo.n_courses,
             "n_materials": self.repo.n_materials,
             "n_shards": self.repo.n_shards,
-            "resident_workers": len(resident.pids()) if resident else 0,
         }
 
     def corpus_info(self, params: Mapping) -> dict:

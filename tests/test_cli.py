@@ -64,14 +64,11 @@ class TestJsonlCorpus:
             ["serve", str(layouts["jsonl"]), "--shards", "2"]
         )
         state, load_report = _service_state(args)
-        try:
-            assert load_report is None
-            assert state.repo.n_courses == 6
-            assert state.repo.n_materials == sum(
-                len(c.materials) for c in _load(str(layouts["json"]))
-            )
-        finally:
-            state.close()
+        assert load_report is None
+        assert state.repo.n_courses == 6
+        assert state.repo.n_materials == sum(
+            len(c.materials) for c in _load(str(layouts["json"]))
+        )
 
     def test_analysis_command_reads_jsonl(self, layouts, capsys):
         assert main(["types", str(layouts["jsonl"]), "-k", "2",
@@ -87,8 +84,7 @@ class TestServeSignals:
         src = str(pathlib.Path(repro.__file__).resolve().parents[1])
         proc = subprocess.Popen(
             ["sh", "-c", 'trap "" INT; exec "$0" "$@"', sys.executable,
-             "-m", "repro.cli", "serve", "--port", "0", "--shards", "2",
-             "--no-resident"],
+             "-m", "repro.cli", "serve", "--port", "0", "--shards", "2"],
             env={**os.environ, "PYTHONPATH": src},
             stderr=subprocess.PIPE, text=True,
         )

@@ -8,15 +8,17 @@ Three contracts under test:
 * **bit-identity** — every served JSON document equals the one computed
   by direct library calls (floats survive JSON via repr round-trip);
 * **draining** — in-flight requests complete during shutdown, queued
-  broker batches flush, and no resident shard worker outlives the
-  service.
+  broker batches flush, and the broker's lane threads exit.
+
+Shard queries run in the server process: serving starts no child
+process.
 """
 
 from __future__ import annotations
 
 import contextlib
 import json
-import os
+import multiprocessing
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -551,10 +553,19 @@ class TestHttpSurface:
     def test_healthz_and_metrics(self, service, client):
         status, doc = client.get("/healthz")
         assert status == 200 and doc["status"] == "ok"
-        assert doc["resident_workers"] == service.state.repo.n_shards
+        assert doc["resident_pids"] == []
         status, doc = client.get("/metrics")
         assert status == 200
         assert {"counters", "timers", "histograms", "failures"} <= set(doc)
+
+    def test_queries_start_no_child_process(self, service, client):
+        tags = list(service.state.matrix.tag_ids[:2])
+        status, _ = client.post("/search", {"query": {"tags": tags}})
+        assert status == 200
+        material_id = next(service.state.repo.materials()).id
+        status, _ = client.post("/similar", {"material_id": material_id})
+        assert status == 200
+        assert multiprocessing.active_children() == []
 
     def test_corpus_lists_what_loadgen_needs(self, service, client):
         status, doc = client.get("/corpus")
@@ -628,8 +639,6 @@ class TestDraining:
         )
         service = ReproService(state)
         host, port = service.start()
-        pids = state.repo.resident.pids()
-        assert len(pids) == 2 and all(p for p in pids)
 
         results = {}
 
@@ -661,10 +670,6 @@ class TestDraining:
         status, doc = results["typing"]
         assert status == 200 and doc["k"] == 3
 
-        # resident shard workers are reaped, not orphaned
-        for pid in pids:
-            with pytest.raises(ProcessLookupError):
-                os.kill(pid, 0)
         # this service's broker lane threads are gone (other services'
         # lanes may coexist in the process)
         for lane in (service.broker._nmf_lane, service.broker._search_lane):
@@ -679,9 +684,7 @@ class TestDraining:
 
     def test_close_is_idempotent(self, dataset):
         tree, courses, _ = dataset
-        state = ServiceState(
-            tree, courses, config=ServiceConfig(n_shards=2, resident=False)
-        )
+        state = ServiceState(tree, courses, config=ServiceConfig(n_shards=2))
         service = ReproService(state)
         service.start()
         first = service.close()
@@ -701,6 +704,11 @@ class TestState:
         with pytest.raises(ServiceError) as err:
             service.state.family_matrix("Quantum")
         assert err.value.status == 400
+
+    def test_resident_config_rejected(self):
+        assert ServiceConfig().resident is False
+        with pytest.raises(ValueError, match="resident=True"):
+            ServiceConfig(resident=True)
 
     def test_parse_query_roundtrips_filters(self):
         q = parse_query({
@@ -772,7 +780,6 @@ def _overload_service(dataset, **cfg):
     """A dedicated service with overload knobs turned for the test."""
     tree, courses, _ = dataset
     cfg.setdefault("n_shards", 2)
-    cfg.setdefault("resident", False)
     state = ServiceState(tree, courses, config=ServiceConfig(**cfg))
     return ReproService(state)
 

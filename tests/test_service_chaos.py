@@ -1,13 +1,18 @@
 """Chaos + lock-sanitizer integration for the service stack.
 
-The strongest claim this PR makes is cross-cutting: a broker +
-resident-pool service under injected worker crashes and task errors
-must (a) keep serving bit-identical results, and (b) do so without a
-single lock-order inversion observed by the runtime sanitizer.  The
-static RPR5xx rules prove the ordering discipline about the code; this
-test checks the same property on the live system while the fault
-injector forces the recovery paths (pool rebuilds, retries) that a
-quiet run never takes.
+The claim is cross-cutting: a broker-fronted service under injected
+task errors must (a) keep serving bit-identical results, and (b) do so
+without a single lock-order inversion observed by the runtime
+sanitizer.  The static RPR5xx rules prove the ordering discipline about
+the code; this test checks the same property on the live system while
+the fault injector forces the retry path that a quiet run never takes.
+
+Faults land where the service runs tasks through
+:func:`repro.runtime.parallel_map`: the shard fan-out behind
+``/search`` and ``/similar``, which runs serially in the server
+process.  ``/typing`` rides along for the broker's NMF lane, which
+never enters ``parallel_map``.  Nothing crashes: no worker process
+exists, and the ``pool_crash`` site is inert outside pool workers.
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ import repro.runtime as runtime
 from repro.analysis import type_courses
 from repro.runtime import sanitize
 from repro.runtime.faults import set_fault_plan
+from repro.runtime.metrics import metrics
 from repro.service import (
     ReproService,
     ServiceClient,
@@ -59,38 +65,64 @@ class TestServiceChaosWithSanitizer:
     ):
         tree, courses, _ = dataset
         seeds = list(range(6))
-
-        # Fault-free ground truth, computed before the plan is armed.
         state = ServiceState(
             tree, courses,
             config=ServiceConfig(n_shards=2),
         )
-        expected = {
+        tags = list(state.matrix.tag_ids[:3])
+        material_ids = [m.id for m in state.repo.materials()][:6]
+        requests = (
+            [("/typing", {"k": 4, "seed": s, "n_restarts": 2}) for s in seeds]
+            + [
+                ("/search", {"queries": [{"tags": [t]}, {"text": "lab"}]})
+                for t in tags
+            ]
+            + [("/similar", {"material_id": m}) for m in material_ids]
+        )
+
+        # Fault-free twins, computed before the plan is armed.
+        typings = {
             seed: type_courses(state.matrix, 4, seed=seed, n_restarts=2)
             for seed in seeds
         }
 
-        set_fault_plan(
-            "seed=7,task_error=0.2,pool_crash=0.2,only_first_attempt=1"
-        )
+        def twin(path, body):
+            if path == "/search":
+                job = state.search_job(body)
+                return job.finish(state.repo.search_many(
+                    job.queries, tree=job.tree, limit=job.limit
+                ))
+            return state.similar(body)
+
+        expected = {
+            i: _json_roundtrip(twin(path, body))
+            for i, (path, body) in enumerate(requests)
+            if path != "/typing"
+        }
+
+        # Every fan-out task fails its first attempt; one retry clears it.
+        set_fault_plan("seed=7,task_error=1.0,only_first_attempt=1")
         with ReproService(state) as svc:
             host, port = svc.address
 
-            def fetch(seed):
+            def fetch(request):
                 with ServiceClient(host, port) as c:
-                    return c.post(
-                        "/typing", {"k": 4, "seed": seed, "n_restarts": 2}
-                    )
+                    return c.post(*request)
 
             with ThreadPoolExecutor(max_workers=6) as pool:
-                first = list(pool.map(fetch, seeds))
-                second = list(pool.map(fetch, seeds))
+                first = list(pool.map(fetch, requests))
+                second = list(pool.map(fetch, requests))
 
-        for seed, (status, doc) in zip(seeds, first):
-            assert status == 200
-            direct = expected[seed]
-            assert doc["reconstruction_err"] == direct.reconstruction_err
-            assert doc["w"] == _json_roundtrip(direct.w.tolist())
+        assert metrics.get("faults.task_error") > 0
+        assert metrics.get("executor.retry") > 0
+        for i, ((path, body), (status, doc)) in enumerate(zip(requests, first)):
+            assert status == 200, (path, doc)
+            if path == "/typing":
+                direct = typings[body["seed"]]
+                assert doc["reconstruction_err"] == direct.reconstruction_err
+                assert doc["w"] == _json_roundtrip(direct.w.tolist())
+            else:
+                assert doc == expected[i], path
         # Run-to-run identity under live fault injection.
         assert [doc for _, doc in first] == [doc for _, doc in second]
 

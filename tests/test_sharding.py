@@ -126,6 +126,23 @@ class TestQueryEquivalence:
             m.id for m in flat.materials()
         ]
 
+    def test_mutation_after_query_is_visible(self, corpus2k, cs2013):
+        flat, sharded = _pair(corpus2k[:40], 3)
+        tag = cs2013.tag_ids()[0]
+        q = SearchQuery(tags=frozenset({tag}))
+        sharded.search(q, tree=cs2013)  # build every shard's index first
+        new = Material(
+            id="fresh-mat", title="freshly placed",
+            mtype=MaterialType.LAB, mappings=frozenset({tag}),
+        )
+        flat.add_material(new)
+        sharded.add_material(new)
+        got = _key(sharded.search(q, tree=cs2013))
+        assert got == _key(flat.search(q, tree=cs2013))
+        assert "fresh-mat" in [mat_id for mat_id, _ in got]
+        assert _key(sharded.find_similar("fresh-mat", limit=5)) == \
+            _key(flat.find_similar("fresh-mat", limit=5))
+
     def test_pool_fanout_matches_serial(self, corpus2k, cs2013):
         # workers=2 pushes the shard payloads through the real process
         # pool (pickling the per-shard repositories); results must not
@@ -221,190 +238,3 @@ class TestChunkedStreaming:
                 ShardedMaterialRepository(2), records, chunk_size=2,
                 strict=True,
             )
-
-
-class TestResidentPool:
-    """Worker-resident shards (PR 8): state lives in the workers.
-
-    The legacy fan-out pickles whole shard repositories into the pool on
-    *every* query; the resident pool installs each shard once at worker
-    start and ships only (shard_id, query) payloads afterwards.  The
-    contract: identical results to the flat repository, a bytes-shipped
-    counter that stays tiny, crash rehydration, and no orphaned workers.
-    """
-
-    @pytest.fixture()
-    def resident_pair(self, corpus2k, cs2013):
-        flat, sharded = _pair(corpus2k, 3)
-        sharded.start_resident(trees=[cs2013])
-        try:
-            yield flat, sharded
-        finally:
-            sharded.close_resident()
-
-    def test_queries_match_flat(self, resident_pair, cs2013):
-        flat, sharded = resident_pair
-        qs = _queries(cs2013, seed=43)
-        assert [_key(h) for h in sharded.search_many(qs, tree=cs2013, limit=6)] \
-            == [_key(h) for h in flat.search_many(qs, tree=cs2013, limit=6)]
-        for q in qs[:4]:
-            assert _key(sharded.search(q, tree=cs2013, limit=5)) == \
-                _key(flat.search(q, tree=cs2013, limit=5))
-        mid = next(m.id for m in flat.materials())
-        assert _key(sharded.find_similar(mid, limit=8)) == \
-            _key(flat.find_similar(mid, limit=8))
-
-    def test_no_per_query_shard_pickling(self, resident_pair, cs2013):
-        import pickle
-
-        _, sharded = resident_pair
-        metrics.reset()
-        qs = _queries(cs2013, seed=47)[:10]
-        sharded.search_many(qs, tree=cs2013, limit=5)
-        shipped = metrics.get("shard.resident.bytes_shipped")
-        n_queries = metrics.get("shard.resident.queries")
-        assert n_queries == sharded.n_shards  # one payload per shard
-        # a single legacy fan-out payload pickles the whole shard repo;
-        # the resident path must ship orders of magnitude less
-        one_shard = len(pickle.dumps(sharded.shards[0]))
-        assert 0 < shipped < one_shard
-
-    def test_mutation_refreshes_workers(self, resident_pair, cs2013):
-        flat, sharded = resident_pair
-        tag = cs2013.tag_ids()[0]
-        new = Material(
-            id="resident-new-mat", title="freshly placed",
-            mtype=MaterialType.LAB, mappings=frozenset({tag}),
-        )
-        flat.add_material(new)
-        sharded.add_material(new)
-        q = SearchQuery(tags=frozenset({tag}))
-        got = _key(sharded.search(q, tree=cs2013, limit=None))
-        assert got == _key(flat.search(q, tree=cs2013, limit=None))
-        assert "resident-new-mat" in [mat_id for mat_id, _ in got]
-        assert metrics.get("shard.resident.refresh") >= 1
-
-    def test_worker_crash_rehydrates_with_same_results(
-        self, resident_pair, cs2013
-    ):
-        import os
-        import signal
-
-        flat, sharded = resident_pair
-        q = SearchQuery(text="lecture")
-        want = _key(flat.search(q, tree=cs2013, limit=9))
-        assert _key(sharded.search(q, tree=cs2013, limit=9)) == want
-        for pid in sharded.resident.pids():
-            os.kill(pid, signal.SIGKILL)
-        assert _key(sharded.search(q, tree=cs2013, limit=9)) == want
-        # rehydrated workers are new processes
-        assert all(pid for pid in sharded.resident.pids())
-
-    def test_close_reaps_workers(self, corpus2k, cs2013):
-        import os
-
-        sharded = _fill(ShardedMaterialRepository(2), corpus2k[:6])
-        pids = sharded.start_resident(trees=[cs2013])
-        assert len(pids) == 2
-        sharded.close_resident()
-        for pid in pids:
-            with pytest.raises(ProcessLookupError):
-                os.kill(pid, 0)
-        assert sharded.resident is None
-        # queries still work via the legacy fan-out path
-        assert isinstance(
-            sharded.search(SearchQuery(text="x"), tree=cs2013, limit=3), list
-        )
-
-    def test_double_start_rejected(self, corpus2k, cs2013):
-        sharded = _fill(ShardedMaterialRepository(2), corpus2k[:6])
-        sharded.start_resident(trees=[cs2013])
-        try:
-            with pytest.raises(RuntimeError, match="already attached"):
-                sharded.start_resident(trees=[cs2013])
-        finally:
-            sharded.close_resident()
-
-    def test_unregistered_tree_ships_inline(self, corpus2k, cs2013, pdc12):
-        # querying with a tree the pool was not started with must still
-        # work (shipped inline with the payload) and stay correct
-        flat, sharded = _pair(corpus2k[:10], 2)
-        sharded.start_resident(trees=[cs2013])
-        try:
-            metrics.reset()
-            q = SearchQuery(text="lab")
-            assert _key(sharded.search(q, tree=pdc12, limit=5)) == \
-                _key(flat.search(q, tree=pdc12, limit=5))
-            assert metrics.get("shard.resident.tree_inline") >= 1
-        finally:
-            sharded.close_resident()
-
-
-class TestRebalancing:
-    """Dead-worker rebalancing (PR 10): shards move, results do not.
-
-    A resident worker that is gone for good (closed, or crashed past
-    its retry budget) must not take its shards down with it: the pool
-    reassigns them round-robin to the survivors, the failed query
-    retries once on the new owner, and every result stays bit-identical
-    to the flat repository.
-    """
-
-    @pytest.fixture()
-    def resident_pair(self, corpus2k, cs2013):
-        flat, sharded = _pair(corpus2k, 3)
-        sharded.start_resident(trees=[cs2013])
-        try:
-            yield flat, sharded
-        finally:
-            sharded.close_resident()
-
-    def test_dead_worker_shards_served_by_survivors(
-        self, resident_pair, cs2013
-    ):
-        flat, sharded = resident_pair
-        pool = sharded.resident
-        q = SearchQuery(text="lecture")
-        want = _key(flat.search(q, tree=cs2013, limit=9))
-        assert _key(sharded.search(q, tree=cs2013, limit=9)) == want
-
-        # a force-closed worker is dead for good (no rehydration), so
-        # the next fan-out must rebalance instead of recovering it
-        pool._workers[0].close(force=True)
-        metrics.reset()
-        assert _key(sharded.search(q, tree=cs2013, limit=9)) == want
-        assert metrics.get("shard.resident.rebalance") >= 1
-        assert metrics.get("shard.resident.worker_dead") == 1
-        assert pool.dead_workers() == [0]
-        assignment = pool.assignment()
-        assert assignment[0] != 0  # shard 0 has a new owner
-        assert set(assignment.values()) <= {1, 2}
-
-        # steady state: queries keep flowing through the survivors
-        # with no further rebalancing and no parent-local fallback
-        metrics.reset()
-        for query in _queries(cs2013, seed=53)[:6]:
-            assert _key(sharded.search(query, tree=cs2013, limit=7)) == \
-                _key(flat.search(query, tree=cs2013, limit=7))
-        assert metrics.get("shard.resident.rebalance") == 0
-        assert metrics.get("shard.resident.local_fallback") == 0
-
-    def test_all_workers_dead_falls_back_to_parent(
-        self, resident_pair, cs2013
-    ):
-        flat, sharded = resident_pair
-        pool = sharded.resident
-        for worker in pool._workers:
-            worker.close(force=True)
-        q = SearchQuery(text="lab")
-        assert _key(sharded.search(q, tree=cs2013, limit=8)) == \
-            _key(flat.search(q, tree=cs2013, limit=8))
-        assert metrics.get("shard.resident.local_fallback") >= 1
-
-    def test_find_similar_survives_rebalance(self, resident_pair, cs2013):
-        flat, sharded = resident_pair
-        mid = next(m.id for m in flat.materials())
-        want = _key(flat.find_similar(mid, limit=8))
-        sharded.resident._workers[1].close(force=True)
-        assert _key(sharded.find_similar(mid, limit=8)) == want
-        assert sharded.resident.dead_workers() == [1]
