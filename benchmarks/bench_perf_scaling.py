@@ -1,24 +1,17 @@
-"""Performance P1 — pipeline scaling with corpus size and worker count.
+"""Performance P1 — pipeline scaling with corpus size.
 
 The paper's future work calls for "a larger pool of courses"; this bench
 measures how the full pipeline (generation → matrix → NNMF typing) scales
-from the paper's 20 courses to 10x and 25x that, how the list-scheduling
-simulator scales with task-graph size, and how multi-restart NNMF scales
-with ``REPRO_WORKERS`` through :mod:`repro.runtime` — the computational
-kernels of the library.
+from the paper's 20 courses to 10x and 25x that, and how the
+list-scheduling simulator scales with task-graph size — the
+computational kernels of the library.
 """
 
-import os
-import time
-
-import numpy as np
 import pytest
 
 from repro.analysis import build_course_matrix, type_courses
 from repro.corpus import generate_corpus, synthetic_roster
 from repro.curriculum import load_cs2013
-from repro.factorization.nmf import nmf_restart_specs
-from repro.runtime.executor import run_nmf_fits
 from repro.taskgraph import layered_random_dag, list_schedule
 
 
@@ -36,69 +29,6 @@ def test_pipeline_scaling(benchmark, n_courses):
     assert typing.w.shape == (n_courses, 4)
     print(f"\nn={n_courses}: matrix {typing.matrix.matrix.shape}, "
           f"err={typing.reconstruction_err:.2f}")
-
-
-def _restart_workload():
-    """A multi-restart NNMF batch heavy enough to amortize process spawn.
-
-    400 synthetic courses x ~500 tags, k=6, 8 random restarts, full MU
-    iterations (tol=0) — the shape ``type_courses`` runs on a scaled-up
-    corpus.
-    """
-    rng = np.random.default_rng(11)
-    a = np.abs(rng.standard_normal((400, 500)))
-    specs = nmf_restart_specs(
-        a, 6, seed=0, solver="mu", init="random", n_restarts=8,
-        max_iter=120, tol=0.0,
-    )
-    return a, specs
-
-
-@pytest.mark.parametrize("workers", [1, 2, 4])
-def test_nmf_restart_worker_scaling(benchmark, workers):
-    """Wall-clock of the same restart batch at increasing worker counts.
-
-    Results must be bit-identical to the serial path at every worker
-    count; on a multi-core box the parallel rows should show the speedup
-    (on single-core CI only the identity assertion is meaningful).
-    """
-    a, specs = _restart_workload()
-    serial = run_nmf_fits(a, specs, workers=1, use_cache=False)
-
-    results = benchmark(
-        lambda: run_nmf_fits(a, specs, workers=workers, use_cache=False)
-    )
-    for s, r in zip(serial, results):
-        assert np.array_equal(s["w"], r["w"])
-        assert np.array_equal(s["h"], r["h"])
-    best = min(float(r["err"]) for r in results)
-    print(f"\nworkers={workers} (cpus={os.cpu_count()}): "
-          f"{len(specs)} restarts, best err={best:.2f}, bit-identical to serial")
-
-
-def test_nmf_restart_parallel_speedup():
-    """REPRO_WORKERS>1 beats serial wall-clock when cores are available."""
-    a, specs = _restart_workload()
-    t0 = time.perf_counter()
-    serial = run_nmf_fits(a, specs, workers=1, use_cache=False)
-    t_serial = time.perf_counter() - t0
-
-    n_workers = min(4, os.cpu_count() or 1)
-    t0 = time.perf_counter()
-    parallel = run_nmf_fits(a, specs, workers=n_workers, use_cache=False)
-    t_parallel = time.perf_counter() - t0
-
-    for s, r in zip(serial, parallel):
-        assert np.array_equal(s["w"], r["w"])
-        assert np.array_equal(s["h"], r["h"])
-    speedup = t_serial / max(t_parallel, 1e-9)
-    print(f"\nserial {t_serial:.2f}s vs {n_workers} workers {t_parallel:.2f}s "
-          f"-> speedup {speedup:.2f}x on {os.cpu_count()} cpu(s)")
-    if (os.cpu_count() or 1) >= 2 and n_workers >= 2:
-        assert speedup > 1.0, (
-            f"expected parallel speedup on {os.cpu_count()} cpus, "
-            f"got {speedup:.2f}x"
-        )
 
 
 @pytest.mark.parametrize("n_tasks", [100, 1000, 5000])

@@ -112,7 +112,6 @@ def analyze_flavors(
     n_restarts: int = 4,
     top_n: int = 15,
     membership_threshold: float = 0.25,
-    workers: int | None = None,
 ) -> FlavorAnalysis:
     """Factor a family matrix and interpret each type.
 
@@ -122,7 +121,7 @@ def analyze_flavors(
     """
     typing = type_courses(
         matrix, k, seed=seed, solver=solver, init=init,
-        n_restarts=n_restarts, workers=workers,
+        n_restarts=n_restarts,
     )
     return flavors_from_typing(
         typing, tree, top_n=top_n, membership_threshold=membership_threshold

@@ -104,21 +104,19 @@ def stability_score(
     n_runs: int = 5,
     seed: RngLike = None,
     solver: str = "hals",
-    workers: int | None = None,
 ) -> float:
     """Mean pairwise matched-type similarity across random restarts.
 
     1.0 = every restart finds the same types; low values flag ranks where
-    the factorization is re-initialization-dependent.  The restarts fan
-    out through :mod:`repro.runtime` (identical results for any
-    ``workers``).
+    the factorization is re-initialization-dependent.  The restarts run
+    as one :mod:`repro.runtime` batch.
     """
     if n_runs < 2:
         raise ValueError("stability needs at least 2 runs")
     specs = nmf_restart_specs(
         matrix.matrix, k, seed=seed, solver=solver, init="random", n_restarts=n_runs
     )
-    results = run_nmf_fits(matrix.matrix, specs, workers=workers)
+    results = run_nmf_fits(matrix.matrix, specs)
     return _stability_from_hs([r["h"] for r in results])
 
 
@@ -140,7 +138,6 @@ def k_sweep(
     seed: RngLike = None,
     solver: str = "hals",
     stability_runs: int = 4,
-    workers: int | None = None,
 ) -> list[KSweepEntry]:
     """Fit every ``k`` and collect all three diagnostics (ablation A1).
 
@@ -149,7 +146,8 @@ def k_sweep(
     initialization pre-drawn in the order the sequential loop would draw
     it, then all of them dispatch together through
     :func:`repro.runtime.run_nmf_fits`.  Results are bit-identical to the
-    serial sweep while parallelism spans candidate ranks *and* restarts.
+    sequential sweep while one stacked engine call spans candidate ranks
+    *and* restarts.
     """
     if stability_runs < 2:
         raise ValueError("stability needs at least 2 runs")
@@ -173,7 +171,7 @@ def k_sweep(
         )
         layout.append((k, main, stab))
     with metrics.timer("model_selection.k_sweep"):
-        results = run_nmf_fits(matrix.matrix, specs, workers=workers)
+        results = run_nmf_fits(matrix.matrix, specs)
     out: list[KSweepEntry] = []
     for k, main, stab in layout:
         bundle = results[main]

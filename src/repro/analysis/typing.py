@@ -164,7 +164,6 @@ def type_courses(
     solver: str = "hals",
     init: str = "random",
     n_restarts: int = 4,
-    workers: int | None = None,
 ) -> CourseTyping:
     """Fit NNMF with ``k`` dimensions to a course matrix.
 
@@ -176,12 +175,12 @@ def type_courses(
 
     Restarts dispatch through :mod:`repro.runtime`: initializations are
     drawn up front from the shared generator (so results are bit-identical
-    to the sequential loop for any ``workers``), solves fan out across
-    processes, and repeated identical fits are served from the result
-    cache.
+    to the sequential restart loop), every restart advances in one
+    stacked engine call, and repeated identical fits are served from the
+    result cache.
     """
     specs = typing_specs(
         matrix, k, seed=seed, solver=solver, init=init, n_restarts=n_restarts
     )
-    results = run_nmf_fits(matrix.matrix, specs, workers=workers)
+    results = run_nmf_fits(matrix.matrix, specs)
     return typing_from_bundles(matrix, results)

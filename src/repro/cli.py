@@ -272,7 +272,6 @@ def cmd_lint_code(args) -> int:
             fmt=args.format,
             fail_on=args.fail_on,
             select=args.select,
-            jobs=args.jobs,
             baseline=args.baseline,
             write_baseline_to=args.write_baseline,
             lock_graph_out=args.lock_graph_out,
@@ -384,7 +383,7 @@ def cmd_report(args) -> int:
 
         run = build_report_pipeline(
             courses, tree, config=config, title=args.title,
-        ).run(workers=args.workers, use_cache=not args.no_cache)
+        ).run(use_cache=not args.no_cache)
         text = run.value("report")
         if args.explain:
             print(run.explain(), file=sys.stderr)
@@ -483,22 +482,18 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_faults(args) -> int:
-    """Demonstrate fault recovery: a faulty run must match a clean one."""
+    """Demonstrate fault recovery: a faulty report must match a clean one."""
     import os as _os
 
     import repro.runtime as runtime
+    from repro.canonical import load_canonical_dataset
+    from repro.report import build_report
 
     plan = runtime.parse_fault_plan(args.plan)
-    rng = np.random.default_rng(args.seed)
-    a = rng.random((args.rows, args.cols))
-    specs = [
-        {"n_components": 4, "max_iter": 40, "seed": i}
-        for i in range(args.fits)
-    ]
-    workers = max(runtime.resolve_workers(args.workers), 2)
+    tree, courses, _ = load_canonical_dataset()
 
-    def run() -> list[dict]:
-        return runtime.run_nmf_fits(a, specs, workers=workers, use_cache=False)
+    def run() -> str:
+        return build_report(courses, tree, use_cache=False)
 
     # Clean reference: no configured plan, and shield from REPRO_FAULTS.
     env_plan = _os.environ.pop("REPRO_FAULTS", None)
@@ -514,25 +509,23 @@ def cmd_faults(args) -> int:
         faulty = run()
     finally:
         runtime.configure(fault_plan=None)
-    # Faults are injected into executor tasks; a batch that ran in process
-    # never met one, so its "recovery" would prove nothing.
-    pooled = runtime.metrics.get("runtime.nmf_strategy.pool") > 0
-    identical = all(
-        all(np.array_equal(b[k], f[k]) for k in b)
-        for b, f in zip(baseline, faulty)
-    )
+    # A plan that injected nothing, or faults nobody retried, proves
+    # nothing about recovery.
+    injected = runtime.metrics.get("faults.task_error")
+    retried = runtime.metrics.get("executor.retry")
+    identical = faulty == baseline
     report = runtime.failure_report()
     print(f"plan: {plan.describe()}")
-    print(f"fits: {args.fits} on a {args.rows}x{args.cols} matrix, "
-          f"{workers} workers")
-    print("ran through the process pool:", "yes" if pooled else "NO")
+    print(f"canonical report: {runtime.metrics.get('executor.tasks')} "
+          f"pipeline tasks, {injected} injected task error(s), "
+          f"{retried} retried")
     print(f"recovery events: {report.summary()}")
-    print("bit-identical to fault-free run:", "yes" if identical else "NO")
+    print("byte-identical to fault-free run:", "yes" if identical else "NO")
     if args.report_out:
         with open(args.report_out, "w") as fh:
             fh.write(report.to_json() + "\n")
         print(f"wrote failure report to {args.report_out}")
-    return 0 if identical and pooled else 1
+    return 0 if identical and injected > 0 and retried > 0 else 1
 
 
 def _service_state(args):
@@ -677,12 +670,6 @@ def build_parser() -> argparse.ArgumentParser:
                     "Anchor Points for PDC Content' (SC-W 2023).",
     )
     p.add_argument(
-        "--workers", type=int, default=None, metavar="N",
-        help="process-pool size for parallel analyses "
-             "(default: $REPRO_WORKERS or serial; results are identical "
-             "for any value)",
-    )
-    p.add_argument(
         "--cache-dir", default=None, metavar="DIR",
         help="persist factorization results under DIR so repeated runs "
              "skip redundant solves (default: $REPRO_CACHE_DIR or "
@@ -693,16 +680,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="disable factorization memoization entirely",
     )
     p.add_argument(
-        "--task-timeout", type=_positive_float, default=None, metavar="S",
-        help="per-task wall-clock budget in seconds; a task that exceeds it "
-             "is killed and retried (default: $REPRO_TASK_TIMEOUT or "
-             "unbounded)",
-    )
-    p.add_argument(
         "--retries", type=_nonneg_int, default=None, metavar="N",
-        help="per-task recovery budget for transient/infrastructure "
-             "failures; 0 disables retries (default: $REPRO_TASK_RETRIES "
-             "or 2)",
+        help="per-task retry budget for transient task failures; 0 "
+             "disables retries (default: $REPRO_TASK_RETRIES or 2)",
     )
     p.add_argument(
         "--runtime-summary", action="store_true",
@@ -789,9 +769,6 @@ def build_parser() -> argparse.ArgumentParser:
                     metavar="RPRnnn[,RPRnnn...]", default=None,
                     help="run only the named rule(s); repeatable, comma "
                          "lists accepted")
-    lc.add_argument("--jobs", type=int, default=1, metavar="N",
-                    help="analyze files in N parallel worker processes "
-                         "(default: 1, serial)")
     lc.add_argument("--baseline", metavar="FILE", default=None,
                     help="subtract findings acknowledged in this baseline "
                          "JSON file")
@@ -912,22 +889,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     fa = sub.add_parser(
         "faults",
-        help="fault-injection demo: run an NMF batch under a chaos plan "
-             "and verify recovery reproduces the fault-free results",
+        help="fault-injection demo: build the canonical report under a "
+             "chaos plan and verify recovery reproduces the fault-free bytes",
     )
     fa.add_argument(
         "--plan",
-        default="seed=7,task_error=0.2,pool_crash=0.1,task_hang=0.05,"
-                "hang_s=0.2,only_first_attempt=1",
+        default="seed=7,task_error=0.2,only_first_attempt=1",
         help="REPRO_FAULTS-syntax fault plan to inject",
     )
-    fa.add_argument("--fits", type=_positive_int, default=8,
-                    help="batch size (number of NMF fits)")
-    fa.add_argument("--rows", type=_positive_int, default=500,
-                    help="matrix rows; rows x cols below 200000 elements "
-                         "runs in process and the demo fails")
-    fa.add_argument("--cols", type=_positive_int, default=400)
-    fa.add_argument("--seed", type=int, default=0)
     fa.add_argument("--report-out", default=None, metavar="PATH",
                     help="write the FailureReport JSON here")
     fa.set_defaults(func=cmd_faults)
@@ -1025,13 +994,9 @@ def main(argv: Sequence[str] | None = None) -> int:
 
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.workers is not None and args.workers < 1:
-        parser.error(f"--workers must be >= 1, got {args.workers}")
     runtime.configure(
-        workers=args.workers,
         cache_dir=args.cache_dir if args.cache_dir is not None else ...,
         cache_enabled=False if args.no_cache else None,
-        task_timeout=args.task_timeout if args.task_timeout is not None else ...,
         task_retries=args.retries,
     )
     status = args.func(args)

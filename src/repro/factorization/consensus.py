@@ -31,13 +31,12 @@ def consensus_matrix(
     n_runs: int = 20,
     solver: str = "hals",
     seed: RngLike = None,
-    workers: int | None = None,
 ) -> np.ndarray:
     """(n x n) fraction of runs in which each row pair shares a dominant type.
 
-    The ``n_runs`` factorizations are independent and dispatch through
-    :mod:`repro.runtime` — initializations are pre-drawn in generator
-    order, so the consensus matrix is identical for any ``workers``.
+    The ``n_runs`` factorizations are independent and run as one
+    :mod:`repro.runtime` batch; initializations are pre-drawn in
+    generator order.
     """
     a = check_nonnegative(check_matrix(a))
     if n_runs < 2:
@@ -45,7 +44,7 @@ def consensus_matrix(
     specs = nmf_restart_specs(
         a, k, seed=seed, solver=solver, init="random", n_restarts=n_runs
     )
-    results = run_nmf_fits(a, specs, workers=workers)
+    results = run_nmf_fits(a, specs)
     n = a.shape[0]
     consensus = np.zeros((n, n))
     with metrics.timer("consensus.accumulate"):
@@ -123,15 +122,12 @@ def cophenetic_k_profile(
     n_runs: int = 20,
     solver: str = "hals",
     seed: RngLike = None,
-    workers: int | None = None,
 ) -> dict[int, float]:
     """Cophenetic correlation for each candidate rank (Brunet's k plot)."""
     rng = as_rng(seed)
     return {
         k: cophenetic_correlation(
-            consensus_matrix(
-                a, k, n_runs=n_runs, solver=solver, seed=rng, workers=workers
-            )
+            consensus_matrix(a, k, n_runs=n_runs, solver=solver, seed=rng)
         )
         for k in ks
     }

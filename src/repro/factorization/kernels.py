@@ -39,9 +39,8 @@ Guarantees and mechanics:
   residual is never materialized.  (KL requires the dense ``WH`` and is
   rejected for sparse input.)
 
-:func:`repro.runtime.run_nmf_fits` runs cache misses through
-:func:`batched_nmf_fits` in process, or one spec per process-pool task
-for large dense batches.
+:func:`repro.runtime.run_nmf_fits` runs all its cache misses through
+one :func:`batched_nmf_fits` call, in process.
 """
 
 from __future__ import annotations

@@ -124,8 +124,8 @@ def nmf_restart_specs(
     Randomness is resolved *here*, in the caller's generator order: each
     spec carries an explicit ``W0``/``H0`` starting point and is therefore
     fully deterministic, which is what lets
-    :func:`repro.runtime.run_nmf_fits` execute the batch in process, in a
-    process pool, or from the result cache with bit-identical output.
+    :func:`repro.runtime.run_nmf_fits` run the batch in one engine call
+    or answer it from the result cache with bit-identical output.
     ``init="random"`` draws ``n_restarts`` starting points from the shared
     generator exactly as the sequential restart loop would; deterministic
     inits (``nndsvd`` family) produce a single run.

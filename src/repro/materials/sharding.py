@@ -9,11 +9,10 @@ material to ``sha256(material_id) % n_shards`` — a stable, data-independent
 partition, so the same corpus always shards the same way regardless of
 ingestion order.
 
-Every query fans out through the fault-tolerant
+Every query fans out through
 :func:`repro.runtime.executor.parallel_map` (so shard queries inherit its
-retry/timeout/quarantine taxonomy and the active fault plan) and merges
-exactly.  With the default ``workers=1`` the fan-out is a serial
-loop in the calling process, so a query pickles nothing; this is how the
+transient-retry taxonomy and the active fault plan), a loop over the
+shards in the calling process, and merges exactly; this is how the
 analysis service answers ``/search`` and ``/similar``.  The merge:
 
 * the per-hit *scores* are pure functions of (material, query) — Jaccard
@@ -70,9 +69,7 @@ def shard_of(material_id: str, n_shards: int) -> int:
     return int.from_bytes(digest[:8], "big") % n_shards
 
 
-# -- fan-out task payloads ---------------------------------------------------
-# Module-level functions (not closures or bound methods) so shard queries
-# stay picklable for process-pool fan-out — the RPR201 contract.
+# -- fan-out tasks -----------------------------------------------------------
 
 
 def _search_task(
@@ -136,18 +133,14 @@ class ShardedMaterialRepository:
     (``add_material`` / ``add_course`` / ``ingest`` / ``search`` /
     ``search_many`` / ``find_similar`` / ``similarity_matrix`` / ``stats``),
     with results bit-identical to a flat repository fed the same corpus in
-    the same order.  ``workers`` controls query fan-out: 1 (default) runs
-    shards serially in-process — what the analysis service uses, since
-    its shards stay warm in the server process; >1 dispatches shard
-    queries through the fault-tolerant process pool, pickling each shard
-    into the pool per query.
+    the same order.  Queries run the shards one after another in the
+    calling process.
     """
 
-    def __init__(self, n_shards: int = 4, *, workers: int | None = 1) -> None:
+    def __init__(self, n_shards: int = 4) -> None:
         if n_shards < 1:
             raise ValueError(f"n_shards must be >= 1, got {n_shards}")
         self._n_shards = n_shards
-        self._workers = workers
         self._shards = [MaterialRepository() for _ in range(n_shards)]
         self._courses: dict[str, Course] = {}
         self._material_shard: dict[str, int] = {}
@@ -313,9 +306,7 @@ class ShardedMaterialRepository:
         with metrics.timer("shard.search"):
             metrics.inc("shard.search.queries")
             payloads = [(shard, query, tree, limit) for shard in self._shards]
-            per_shard = parallel_map(
-                _search_task, payloads, workers=self._workers
-            )
+            per_shard = parallel_map(_search_task, payloads)
             return _merge_ranked(per_shard, limit)
 
     def search_many(
@@ -336,9 +327,7 @@ class ShardedMaterialRepository:
             payloads = [
                 (shard, list(queries), tree, limit) for shard in self._shards
             ]
-            per_shard = parallel_map(
-                _search_many_task, payloads, workers=self._workers
-            )
+            per_shard = parallel_map(_search_many_task, payloads)
             return [
                 _merge_ranked([hits[qi] for hits in per_shard], limit)
                 for qi in range(len(queries))
@@ -357,9 +346,7 @@ class ShardedMaterialRepository:
                 (shard, ref.mappings, material_id, limit)
                 for shard in self._shards
             ]
-            per_shard = parallel_map(
-                _similar_task, payloads, workers=self._workers
-            )
+            per_shard = parallel_map(_similar_task, payloads)
             return _merge_ranked(per_shard, limit)
 
     def similarity_matrix(self, *, metric: str = "jaccard") -> np.ndarray:

@@ -17,10 +17,11 @@ course matrix is unchanged), every node downstream still hits the cache.
 Recomputation stops at the first node whose *value* actually changed.
 
 Execution walks the DAG in Kahn waves (all ready nodes at once); each
-wave's cache misses fan out through the fault-tolerant
-:func:`repro.runtime.executor.parallel_map`, so node retries, pool
-rebuilds, and quarantine apply per node, and deterministic node functions
-make recovery bit-identical.  Results are memoized in the checksummed
+wave's cache misses run through
+:func:`repro.runtime.executor.parallel_map` in the calling process, so
+transient-failure retries and fault injection apply per node, and
+deterministic node functions make recovery bit-identical.  Results are
+memoized in the checksummed
 :class:`repro.runtime.cache.ResultCache` (memory LRU + optional on-disk
 ``.npz`` layer), values traveling as pickled byte arrays, so warm re-runs
 replay across process restarts too.
@@ -68,12 +69,11 @@ class PipelineNode:
     """One unit of the analysis DAG.
 
     ``fn`` receives a mapping ``dep name -> dep value`` and returns the
-    node's value; it must be deterministic and picklable (module-level
-    functions or :func:`functools.partial` over them), since cache-miss
-    nodes may execute in worker processes.  ``params`` is a flat mapping
-    of scalar/str values — digests for anything structured — covering
-    every out-of-graph input the function reads.  ``weight`` is a cost
-    estimate feeding the :class:`TaskGraph` work/span analysis.
+    node's value; it must be deterministic, and the value picklable (it
+    is pickled for its digest and the cache).  ``params`` is a flat
+    mapping of scalar/str values — digests for anything structured —
+    covering every out-of-graph input the function reads.  ``weight`` is
+    a cost estimate feeding the :class:`TaskGraph` work/span analysis.
     """
 
     name: str
@@ -105,8 +105,7 @@ def _freeze_params(params: Mapping[str, Any] | None) -> tuple[tuple[str, str], .
 
 
 def _run_node(payload: tuple) -> tuple[Any, float]:
-    """Execute one node, returning ``(value, seconds)``; module-level for
-    pool picklability, timed where it runs."""
+    """Execute one node, returning ``(value, seconds)``."""
     fn, dep_values = payload
     t0 = time.perf_counter()
     value = fn(dep_values)
@@ -256,17 +255,15 @@ class Pipeline:
     def run(
         self,
         *,
-        workers: int | None = None,
         cache: ResultCache | None = None,
         use_cache: bool = True,
     ) -> PipelineRun:
         """Execute the DAG, replaying memoized nodes and computing the rest.
 
-        ``workers`` fans each wave's cache misses out through
-        :func:`parallel_map` (serial when 1/unset); ``cache`` overrides
-        the process-global :data:`repro.runtime.cache.result_cache`;
-        ``use_cache=False`` recomputes every node without reading or
-        writing memoized values.
+        Each wave's cache misses run through :func:`parallel_map`, in
+        wave order; ``cache`` overrides the process-global
+        :data:`repro.runtime.cache.result_cache`; ``use_cache=False``
+        recomputes every node without reading or writing memoized values.
         """
         store = cache if cache is not None else result_cache
         values: dict[str, Any] = {}
@@ -303,7 +300,7 @@ class Pipeline:
                     )
                     for name, _ in pending
                 ]
-                outs = parallel_map(_run_node, payloads, workers=workers)
+                outs = parallel_map(_run_node, payloads)
                 for (name, key), (out, seconds) in zip(pending, outs):
                     raw = pickle.dumps(out, protocol=_PICKLE_PROTOCOL)
                     values[name] = out

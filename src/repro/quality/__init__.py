@@ -3,7 +3,7 @@
 :mod:`repro.materials.lint` screens the *corpus* the way the paper's
 Figure 1 gate screened courses; this package applies the same
 discipline to the *code*.  The runtime's guarantees — bit-identical
-results under any worker count, a content-addressed cache that never
+results for a fixed seed, a content-addressed cache that never
 aliases, a groupable metrics report, a threaded service that cannot
 race or deadlock — are invariants that one unseeded ``np.random`` call,
 one forgotten cache-key field, or one unguarded write silently
@@ -15,7 +15,6 @@ code      rule
 ========  ========================================================
 RPR101    unseeded / global-state randomness in library code
 RPR102    wall-clock reads in library code
-RPR201    unpicklable callables handed to the process pool
 RPR202    NMF fields missing from the cache-key parameter list
 RPR301    metric names that are not dotted-lowercase literals
 RPR401    curriculum-table invariants (ids, links, crosswalk)
@@ -27,8 +26,7 @@ RPR000    (reserved) file the engine could not parse
 ========  ========================================================
 
 Run it as ``repro lint-code [paths]`` or ``python -m repro.quality``;
-``--jobs N`` fans file analysis out over the runtime's own process
-pool, ``--baseline``/``--write-baseline`` manage a versioned set of
+``--baseline``/``--write-baseline`` manage a versioned set of
 acknowledged findings, and ``--lock-graph-out`` exports the RPR504
 lock-ordering graph as JSON.  Suppress a finding inline with
 ``# repro: noqa[RPRnnn]``.  The codebase gates itself:
@@ -126,7 +124,6 @@ def run_lint_code(
     fmt: str = "text",
     fail_on: str = "error",
     select: Sequence[str] | None = None,
-    jobs: int | None = None,
     baseline: str | None = None,
     write_baseline_to: str | None = None,
     lock_graph_out: str | None = None,
@@ -142,7 +139,7 @@ def run_lint_code(
     """
     if fmt not in ("text", "json"):
         raise ValueError(f"fmt must be 'text' or 'json', got {fmt!r}")
-    result = analyze_paths(paths, select=split_select(select), jobs=jobs)
+    result = analyze_paths(paths, select=split_select(select))
     if lock_graph_out:
         doc = build_lock_graph(ProjectContext(result.contexts)).to_doc()
         Path(lock_graph_out).write_text(
@@ -174,7 +171,7 @@ def build_arg_parser(prog: str = "repro.quality") -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog=prog,
         description="AST-based static analysis of the repro codebase "
-                    "(determinism, pool safety, cache-key integrity, "
+                    "(determinism, cache-key integrity, "
                     "curriculum-data invariants, concurrency correctness).",
     )
     p.add_argument(
@@ -193,11 +190,6 @@ def build_arg_parser(prog: str = "repro.quality") -> argparse.ArgumentParser:
     p.add_argument(
         "--select", action="append", metavar="RPRnnn[,RPRnnn...]", default=None,
         help="run only the named rule(s); repeatable, comma lists accepted",
-    )
-    p.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="analyze files in N parallel worker processes via the "
-             "runtime's own parallel_map (default: 1, serial)",
     )
     p.add_argument(
         "--baseline", metavar="FILE", default=None,
@@ -223,7 +215,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             fmt=args.fmt,
             fail_on=args.fail_on,
             select=args.select,
-            jobs=args.jobs,
             baseline=args.baseline,
             write_baseline_to=args.write_baseline,
             lock_graph_out=args.lock_graph_out,

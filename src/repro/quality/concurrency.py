@@ -65,8 +65,8 @@ _MUTATORS = frozenset({
 #: Methods whose writes are construction, not concurrent mutation.
 _INIT_METHODS = frozenset({"__init__", "__post_init__", "__new__"})
 
-#: Dispatch functions that fan out to the process pool (RPR503).
-_POOL_DISPATCH = frozenset({
+#: Batch entry points that run every task before returning (RPR503).
+_BATCH_DISPATCH = frozenset({
     "repro.runtime.executor.parallel_map",
     "repro.runtime.executor.run_nmf_fits",
     "repro.runtime.parallel_map",
@@ -554,10 +554,10 @@ class _FunctionScanner:
     ) -> None:
         origin = _resolve_origin(self.imports, func)
         if origin is not None:
-            if origin in _POOL_DISPATCH:
+            if origin in _BATCH_DISPATCH:
                 self.model.blocking.append(BlockingCall(
                     line=node.lineno, col=node.col_offset,
-                    what=f"{origin.rsplit('.', 1)[-1]}() fans out to the process pool",
+                    what=f"{origin.rsplit('.', 1)[-1]}() runs a task batch",
                     locks=lockset,
                 ))
                 return

@@ -10,8 +10,7 @@ rule is one decorated function plus a fixture test.
 Rule codes are stable and namespaced by concern:
 
 * ``RPR1xx`` — determinism (unseeded randomness, wall-clock reads),
-* ``RPR2xx`` — parallel/cache safety (unpicklable pool payloads,
-  cache-key completeness),
+* ``RPR2xx`` — cache safety (cache-key completeness),
 * ``RPR3xx`` — conventions (metrics-name discipline),
 * ``RPR4xx`` — curriculum-data invariants,
 * ``RPR000`` — reserved: a file the engine could not parse.
@@ -370,70 +369,15 @@ def _parse_one(path: str) -> tuple[FileContext | None, Finding | None]:
         )
 
 
-def _analyze_chunk(
-    payload: tuple[list[str], tuple[str, ...] | None],
-) -> tuple[list[FileContext], list[Finding]]:
-    """Parse one chunk of files and run the file-scope rules on them.
-
-    Module-level on purpose: this is the picklable task ``--jobs``
-    hands to :func:`repro.runtime.executor.parallel_map` (RPR201).
-    Suppression and sorting are *not* applied here — the parent applies
-    them centrally over the merged results, so parallel runs are
-    byte-identical to serial ones.
-    """
-    import repro.quality  # noqa: F401  (rule registration in the worker)
-
-    paths, select = payload
-    selected = set(select) if select is not None else None
-    contexts: list[FileContext] = []
-    findings: list[Finding] = []
-    for path in paths:
-        ctx, parse_error = _parse_one(path)
-        if ctx is not None:
-            contexts.append(ctx)
-        if parse_error is not None:
-            findings.append(parse_error)
-    for r in RULES.values():
-        if r.scope != "file":
-            continue
-        if selected is not None and r.code not in selected:
-            continue
-        for ctx in contexts:
-            findings.extend(r.check(ctx))
-    for ctx in contexts:
-        # Drop rule-attached caches (e.g. the concurrency model) before
-        # pickling the contexts back to the parent.
-        ctx.__dict__.pop("_concurrency_model", None)
-    return contexts, findings
-
-
-def _chunked(files: list[str], n: int) -> list[list[str]]:
-    """Split into ``n`` contiguous, nearly equal chunks (no empties)."""
-    n = max(1, min(n, len(files)))
-    size, extra = divmod(len(files), n)
-    chunks: list[list[str]] = []
-    start = 0
-    for i in range(n):
-        stop = start + size + (1 if i < extra else 0)
-        chunks.append(files[start:stop])
-        start = stop
-    return [c for c in chunks if c]
-
-
 def analyze_paths(
     paths: Sequence[str | Path],
     *,
     select: Sequence[str] | None = None,
-    jobs: int | None = None,
 ) -> AnalysisResult:
     """Run every registered rule over ``paths``.
 
     ``select`` restricts the run to the named codes (the parse check
-    always runs).  ``jobs`` > 1 parses and file-scope-checks chunks of
-    files in parallel via the runtime's own :func:`parallel_map`;
-    project-scope rules, suppression, and ordering always run centrally
-    in the parent, so results are byte-identical to a serial run.
-    Findings come back sorted by ``(path, line, col, code)``;
+    always runs).  Findings come back sorted by ``(path, line, col, code)``;
     suppressed findings are dropped and counted in ``n_suppressed``.
     """
     # Import for the registration side effect: the rule modules populate
@@ -450,39 +394,17 @@ def analyze_paths(
     metrics.inc("quality.files", len(files))
     findings: list[Finding] = []
     contexts: list[FileContext] = []
-    n_jobs = int(jobs) if jobs else 1
     with metrics.timer("quality.analyze"):
-        if n_jobs > 1 and len(files) > 1:
-            from repro.runtime.executor import parallel_map
-
-            select_key = tuple(sorted(selected)) if selected is not None else None
-            chunks = _chunked(files, n_jobs)
-            results = parallel_map(
-                _analyze_chunk,
-                [(chunk, select_key) for chunk in chunks],
-                workers=n_jobs,
-            )
-            # Chunks are contiguous slices of the sorted file list, so
-            # concatenation restores exactly the serial context order.
-            for chunk_contexts, chunk_findings in results:
-                contexts.extend(chunk_contexts)
-                findings.extend(chunk_findings)
-            active = [
-                r for r in RULES.values()
-                if (selected is None or r.code in selected)
-                and r.scope == "project"
-            ]
-        else:
-            for path in files:
-                ctx, parse_error = _parse_one(path)
-                if ctx is not None:
-                    contexts.append(ctx)
-                if parse_error is not None:
-                    findings.append(parse_error)
-            active = [
-                r for r in RULES.values()
-                if selected is None or r.code in selected
-            ]
+        for path in files:
+            ctx, parse_error = _parse_one(path)
+            if ctx is not None:
+                contexts.append(ctx)
+            if parse_error is not None:
+                findings.append(parse_error)
+        active = [
+            r for r in RULES.values()
+            if selected is None or r.code in selected
+        ]
         by_path = {ctx.path: ctx for ctx in contexts}
         project = ProjectContext(contexts)
         raw = findings

@@ -13,7 +13,7 @@ cross-file models from :mod:`repro.quality.concurrency`:
 * **RPR502** — ``lock.acquire()`` without a ``try/finally`` release in
   the same function.  An exception between acquire and release leaves
   the lock held forever; ``with lock:`` is the structural fix.
-* **RPR503** — a blocking call (pool fan-out, ``subprocess``,
+* **RPR503** — a blocking call (a task batch, ``subprocess``,
   ``.result()``, untimed ``queue.get``/``Thread.join``) made while
   holding a lock.  Every thread contending for that lock now waits on
   the slow operation too — and if the blocked-on work needs the same
@@ -159,7 +159,7 @@ def check_unstructured_acquire(ctx: FileContext) -> Iterator[Finding]:
 def check_blocking_under_lock(ctx: FileContext) -> Iterator[Finding]:
     """Blocking call made while holding a lock.
 
-    Process-pool fan-outs, ``subprocess`` calls, ``.result()`` waits,
+    Task batches, ``subprocess`` calls, ``.result()`` waits,
     and untimed ``queue.get``/``Thread.join`` can take unbounded time —
     or wait on a thread that needs the very lock the caller holds.
     Compute the slow result outside the critical section, then take the

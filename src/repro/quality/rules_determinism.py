@@ -1,9 +1,9 @@
 """Determinism rules (RPR1xx).
 
-The library's contract — bit-identical results for any worker count,
-kernel strategy, or cache state — survives only while every stochastic
-draw flows from an explicit seed and no result depends on the wall
-clock.  These rules catch the two ways that contract silently dies:
+The library's contract — bit-identical results for any batch layout or
+cache state — survives only while every stochastic draw flows from an
+explicit seed and no result depends on the wall clock.  These rules
+catch the two ways that contract silently dies:
 
 * **RPR101** — a draw from global/unseeded random state (``np.random.rand``
   and friends, the stdlib ``random`` module, an argless

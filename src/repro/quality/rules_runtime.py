@@ -1,12 +1,5 @@
-"""Parallel/cache-safety and convention rules (RPR2xx, RPR3xx).
+"""Cache-safety and convention rules (RPR2xx, RPR3xx).
 
-* **RPR201** — a callable that cannot cross a process boundary (lambda,
-  nested ``def``, bound method of a function-local object) handed to the
-  process-pool dispatchers.  The pool pickles the callable; these
-  payloads fail at submit time — and because
-  :func:`repro.runtime.parallel_map` degrades to its serial fallback on
-  pool errors, the failure is *silent*: the batch still completes, just
-  without any parallelism.
 * **RPR202** — the :class:`~repro.factorization.nmf.NMF` dataclass and
   the ``NMF_KEY_PARAMS`` tuple consumed by the cache-key builder
   (:mod:`repro.runtime.cache`) drifting apart.  A solver knob missing
@@ -31,151 +24,9 @@ from repro.quality.engine import (
     rule,
 )
 
-#: Bare function names whose first argument is shipped to worker processes.
-_DISPATCH_FUNCS = frozenset({"parallel_map", "run_parallel"})
-
-#: ``<receiver>.submit(fn, ...)`` fires for any receiver; ``.map`` only
-#: for receivers that are conventionally executors, to spare unrelated
-#: ``.map`` APIs (pandas, ndarray methods).
-_POOL_RECEIVERS = frozenset({"pool", "executor"})
-
 _METRIC_METHODS = frozenset({"inc", "get", "timer", "record_time"})
 
 _METRIC_NAME_RE = re.compile(r"[a-z0-9_]+(\.[a-z0-9_]+)+")
-
-
-def _dispatched_callable(call: ast.Call) -> ast.expr | None:
-    """The callable argument of a pool-dispatch call, else ``None``."""
-    func = call.func
-    is_dispatch = False
-    if isinstance(func, ast.Name) and func.id in _DISPATCH_FUNCS:
-        is_dispatch = True
-    elif isinstance(func, ast.Attribute):
-        if func.attr in _DISPATCH_FUNCS or func.attr == "submit":
-            is_dispatch = True
-        elif func.attr == "map" and isinstance(func.value, ast.Name) \
-                and func.value.id in _POOL_RECEIVERS:
-            is_dispatch = True
-    if not is_dispatch or not call.args:
-        return None
-    return call.args[0]
-
-
-def _local_names(fn: ast.FunctionDef | ast.AsyncFunctionDef) -> frozenset[str]:
-    """Names bound inside ``fn``: parameters and assignment targets."""
-    names: set[str] = set()
-    a = fn.args
-    for arg in (*a.posonlyargs, *a.args, *a.kwonlyargs):
-        names.add(arg.arg)
-    if a.vararg:
-        names.add(a.vararg.arg)
-    if a.kwarg:
-        names.add(a.kwarg.arg)
-    for node in ast.walk(fn):
-        if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
-            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-            for t in targets:
-                for sub in ast.walk(t):
-                    if isinstance(sub, ast.Name):
-                        names.add(sub.id)
-        elif isinstance(node, ast.NamedExpr) and isinstance(node.target, ast.Name):
-            names.add(node.target.id)
-        elif isinstance(node, (ast.For, ast.AsyncFor)):
-            for sub in ast.walk(node.target):
-                if isinstance(sub, ast.Name):
-                    names.add(sub.id)
-        elif isinstance(node, (ast.With, ast.AsyncWith)):
-            for item in node.items:
-                if item.optional_vars is not None:
-                    for sub in ast.walk(item.optional_vars):
-                        if isinstance(sub, ast.Name):
-                            names.add(sub.id)
-    return frozenset(names)
-
-
-def _receiver_root(expr: ast.expr) -> ast.Name | None:
-    """The base ``Name`` under a ``Subscript``/``Attribute`` chain.
-
-    ``shards[i].search`` → ``shards``; ``self.pool.workers[0].run`` →
-    ``self``.  ``None`` when the chain bottoms out in a call or literal.
-    """
-    while isinstance(expr, (ast.Attribute, ast.Subscript)):
-        expr = expr.value
-    return expr if isinstance(expr, ast.Name) else None
-
-
-def _nested_def_names(fn: ast.FunctionDef | ast.AsyncFunctionDef) -> frozenset[str]:
-    """Names of ``def``s declared anywhere inside ``fn`` (depth-agnostic)."""
-    return frozenset(
-        node.name
-        for node in ast.walk(fn)
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-        and node is not fn
-    )
-
-
-@rule("RPR201", name="unpicklable-pool-payload", severity=Severity.ERROR)
-def check_pool_payloads(ctx: FileContext) -> Iterator[Finding]:
-    """Unpicklable callable handed to the process-pool dispatchers.
-
-    Lambdas and nested ``def``s cannot be pickled by the stdlib; bound
-    methods of function-local objects drag their whole instance through
-    the pickle boundary (and fail when the instance holds locks, open
-    files, or generators).  Use a module-level function and pass state
-    through its arguments.
-    """
-    findings: list[Finding] = []
-
-    def visit(node: ast.AST, stack: list[ast.FunctionDef | ast.AsyncFunctionDef]) -> None:
-        if isinstance(node, ast.Call):
-            target = _dispatched_callable(node)
-            if isinstance(target, ast.Lambda):
-                findings.append(make_finding(
-                    "RPR201", ctx.path, target,
-                    "lambda cannot be pickled into a worker process; "
-                    "use a module-level function",
-                ))
-            elif isinstance(target, ast.Name) and any(
-                target.id in _nested_def_names(fn) for fn in stack
-            ):
-                findings.append(make_finding(
-                    "RPR201", ctx.path, target,
-                    f"nested function {target.id!r} cannot be pickled into a "
-                    "worker process; move it to module level",
-                ))
-            elif isinstance(target, ast.Attribute) and isinstance(
-                target.value, ast.Name
-            ) and any(target.value.id in _local_names(fn) for fn in stack):
-                findings.append(make_finding(
-                    "RPR201", ctx.path, target,
-                    f"bound method {target.value.id}.{target.attr} of a "
-                    "function-local object is pickled with its whole "
-                    "instance; use a module-level function",
-                ))
-            elif isinstance(target, ast.Attribute) and (
-                root := _receiver_root(target.value)
-            ) is not None and any(
-                root.id in _local_names(fn) for fn in stack
-            ):
-                # Shard-query idiom: parallel_map(shards[i].search, ...) —
-                # the receiver hides behind subscripts/attribute chains but
-                # is still a bound method of a function-local object.
-                findings.append(make_finding(
-                    "RPR201", ctx.path, target,
-                    f"bound method .{target.attr} of an object reached "
-                    f"through function-local {root.id!r} (subscript/"
-                    "attribute chain) is pickled with its whole instance; "
-                    "use a module-level function taking the shard as an "
-                    "argument",
-                ))
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                visit(child, stack + [child])
-            else:
-                visit(child, stack)
-
-    visit(ctx.tree, [])
-    yield from findings
 
 
 # -- RPR202: NMF dataclass fields vs the cache-key parameter list ------------

@@ -12,8 +12,7 @@ Two engines produce byte-identical output:
   analysis DAG (:mod:`repro.pipeline`): every stage is a content-addressed
   node memoized in the runtime cache, so re-running after a small corpus
   change recomputes only the affected nodes and a fully warm re-run is a
-  pure cache replay.  Gains ``workers=`` (wave-parallel node execution)
-  and ``use_cache=``/``cache=`` plumbing.
+  pure cache replay.  Gains ``use_cache=``/``cache=`` plumbing.
 * ``engine="direct"`` — the original straight-line calls, kept as the
   reference implementation the DAG path is tested bit-identical against.
 """
@@ -270,16 +269,15 @@ def build_report(
     config: ReportConfig | None = None,
     title: str = "Course corpus analysis",
     engine: str = "dag",
-    workers: int | None = None,
     use_cache: bool = True,
     cache=None,
 ) -> str:
     """Render the full Markdown report for ``courses``.
 
-    ``engine="dag"`` drives the incremental pipeline DAG — memoized,
-    wave-parallel under ``workers``, and byte-identical to
-    ``engine="direct"`` (the legacy straight-line path).  ``use_cache``
-    and ``cache`` control node memoization (DAG engine only).
+    ``engine="dag"`` drives the incremental pipeline DAG — memoized and
+    byte-identical to ``engine="direct"`` (the legacy straight-line
+    path).  ``use_cache`` and ``cache`` control node memoization (DAG
+    engine only).
     """
     if engine not in REPORT_ENGINES:
         raise ValueError(
@@ -290,5 +288,5 @@ def build_report(
     from repro.pipeline import build_report_pipeline
 
     pipeline = build_report_pipeline(courses, tree, config=config, title=title)
-    run = pipeline.run(workers=workers, use_cache=use_cache, cache=cache)
+    run = pipeline.run(use_cache=use_cache, cache=cache)
     return run.value("report")

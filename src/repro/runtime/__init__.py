@@ -1,14 +1,14 @@
 """repro.runtime — execution substrate for the paper's analyses.
 
-The analyses are embarrassingly parallel (multi-restart NMF, consensus
-resampling, k-sweep model selection) and highly repetitive (the same
-factorization of the same matrix recomputed across figures, benchmarks,
-and examples).  This package supplies the three primitives that exploit
-that, while guaranteeing results identical to the plain serial code:
+The analyses are batches of independent factorizations (multi-restart
+NMF, consensus resampling, k-sweep model selection) and highly
+repetitive (the same factorization of the same matrix recomputed across
+figures, benchmarks, and examples).  This package supplies the three
+primitives that exploit that, in the calling process:
 
-* :mod:`~repro.runtime.executor` — ordered process-pool fan-out with a
-  serial fallback and explicit per-task random state
-  (:func:`spawn_seeds` / pre-drawn initializations);
+* :mod:`~repro.runtime.executor` — the NMF batch driver (one stacked
+  engine call per batch of cache misses, pre-drawn initializations) and
+  an ordered task map with transient-retry and fault injection;
 * :mod:`~repro.runtime.cache` — content-addressed memoization of
   factorization results (in-memory LRU + optional on-disk layer);
 * :mod:`~repro.runtime.metrics` — named counters, wall-time timers, and
@@ -17,13 +17,11 @@ that, while guaranteeing results identical to the plain serial code:
 Typical configuration, once, at process start::
 
     import repro.runtime as runtime
-    runtime.configure(workers=8, cache_dir="~/.cache/repro")
+    runtime.configure(cache_dir="~/.cache/repro")
     ...
     print(runtime.summary())
 
-or from the environment: ``REPRO_WORKERS=8`` (or ``auto``) and
-``REPRO_CACHE_DIR=/path``.  Every analysis entry point also takes a
-``workers=`` keyword for per-call control.
+or from the environment: ``REPRO_CACHE_DIR=/path``.
 """
 
 from __future__ import annotations
@@ -47,16 +45,9 @@ from repro.runtime.executor import (
     failure_report,
     parallel_map,
     resolve_task_retries,
-    resolve_task_timeout,
-    resolve_workers,
     run_nmf_fits,
     set_default_task_retries,
-    set_default_task_timeout,
-    set_default_workers,
-    spawn_seeds,
     task_retries_from_env,
-    task_timeout_from_env,
-    workers_from_env,
 )
 from repro.runtime.faults import (
     FaultPlan,
@@ -119,52 +110,36 @@ __all__ = [
     "parse_fault_plan",
     "reset",
     "resolve_task_retries",
-    "resolve_task_timeout",
-    "resolve_workers",
     "result_cache",
     "run_nmf_fits",
     "set_default_task_retries",
-    "set_default_task_timeout",
-    "set_default_workers",
     "set_fault_plan",
-    "spawn_seeds",
     "summary",
     "task_retries_from_env",
-    "task_timeout_from_env",
-    "workers_from_env",
 ]
 
 
 def configure(
     *,
-    workers: int | None = None,
     cache_dir: str | os.PathLike | None | object = ...,
     cache_enabled: bool | None = None,
     cache_max_entries: int | None = None,
-    task_timeout: float | None | object = ...,
     task_retries: int | None = None,
     fault_plan: FaultPlan | str | None | object = ...,
     sanitize: bool | str | None | object = ...,
 ) -> None:
     """Configure the process-global runtime in one call.
 
-    ``workers=None`` leaves worker resolution to the environment
-    (``REPRO_WORKERS``); ``cache_dir=None`` switches the cache to
-    memory-only; ``task_timeout`` sets the per-task wall-clock budget in
-    seconds (``None`` clears it back to ``REPRO_TASK_TIMEOUT``/off);
-    ``task_retries`` bounds per-task recovery attempts (0 disables
-    retries); ``fault_plan`` arms fault injection (a :class:`FaultPlan`
-    or ``REPRO_FAULTS``-syntax string; ``None`` disarms, deferring to
-    the environment); ``sanitize`` arms the lock sanitizer for locks
-    created *afterwards* (``"locks"``/``True`` on, ``False`` off,
-    ``None`` defers to ``REPRO_SANITIZE`` — enable before building the
-    service stack, or via the environment to cover module-global
-    locks).  Omitted keywords keep their current values.
+    ``cache_dir=None`` switches the cache to memory-only;
+    ``task_retries`` bounds per-task retries of transient failures (0
+    disables retries); ``fault_plan`` arms fault injection (a
+    :class:`FaultPlan` or ``REPRO_FAULTS``-syntax string; ``None``
+    disarms, deferring to the environment); ``sanitize`` arms the lock
+    sanitizer for locks created *afterwards* (``"locks"``/``True`` on,
+    ``False`` off, ``None`` defers to ``REPRO_SANITIZE`` — enable before
+    building the service stack, or via the environment to cover
+    module-global locks).  Omitted keywords keep their current values.
     """
-    if workers is not None:
-        set_default_workers(workers)
-    if task_timeout is not ...:
-        set_default_task_timeout(task_timeout)  # type: ignore[arg-type]
     if task_retries is not None:
         set_default_task_retries(task_retries)
     if fault_plan is not ...:

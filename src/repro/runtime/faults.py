@@ -2,25 +2,19 @@
 
 The paper's own pipeline had to drop 11 of 31 classified courses "for
 technical reasons" — real infrastructure misbehaves.  The recovery paths
-in :mod:`repro.runtime.executor` and :mod:`repro.runtime.cache` (pool
-rebuilds, per-task retries, timeouts, cache quarantine) are only
-trustworthy if they can be exercised *on demand*, not just when the OS
-happens to fail.  This module is that switch: a :class:`FaultPlan`
-describes which faults to inject at what rate, and every injection
-decision is a pure function of ``(plan seed, site, task index, attempt,
-token)`` — no global counters, no wall clock — so a faulty run is exactly
-reproducible in any process layout and any completion order.
+in :mod:`repro.runtime.executor` and :mod:`repro.runtime.cache` (per-task
+retries, cache quarantine) are only trustworthy if they can be exercised
+*on demand*, not just when the OS happens to fail.  This module is that
+switch: a :class:`FaultPlan` describes which faults to inject at what
+rate, and every injection decision is a pure function of ``(plan seed,
+site, task index, attempt, token)`` — no global counters, no wall clock —
+so a faulty run is exactly reproducible.
 
 Injection sites:
 
 * ``task_error`` — the task raises :class:`InjectedTaskError` (a
   :class:`TransientTaskError`) before doing any work; the executor
   retries it like any transient task failure.
-* ``pool_crash`` — the worker process dies via ``os._exit`` (a *real*
-  worker crash: the parent observes ``BrokenProcessPool`` and must
-  rebuild the pool).  Outside a worker the site is inert.
-* ``task_hang`` — the task sleeps ``hang_s`` seconds before running,
-  which trips the executor's per-task timeout when one is configured.
 * ``cache_corrupt`` — a persisted cache entry is truncated after the
   atomic rename, so the next read must detect and quarantine it.
 * ``disk_error`` — a cache write raises :class:`OSError` before writing.
@@ -29,7 +23,7 @@ Activation: ``configure(fault_plan=...)`` /
 :func:`set_fault_plan` (wins) or the ``REPRO_FAULTS`` environment
 variable, e.g.::
 
-    REPRO_FAULTS="seed=7,task_error=0.1,pool_crash=0.05,only_first_attempt=1"
+    REPRO_FAULTS="seed=7,task_error=0.1,only_first_attempt=1"
 
 ``only_first_attempt=1`` restricts every fault to attempt 0 of each
 task, which guarantees that a single retry recovers — the setting the
@@ -40,7 +34,6 @@ from __future__ import annotations
 
 import hashlib
 import os
-import time
 from dataclasses import dataclass, fields
 
 from repro.runtime.metrics import metrics
@@ -63,8 +56,6 @@ class InjectedTaskError(TransientTaskError):
 #: Injection-site name -> metric counter (literal names for RPR301).
 _SITE_COUNTERS = {
     "task_error": "faults.task_error",
-    "pool_crash": "faults.pool_crash",
-    "task_hang": "faults.task_hang",
     "cache_corrupt": "faults.cache_corrupt",
     "disk_error": "faults.disk_error",
 }
@@ -79,15 +70,11 @@ class FaultPlan:
 
     Every rate is an independent per-decision probability; decisions are
     derived by hashing ``(seed, site, index, attempt, token)``, so the
-    same plan produces the same faults regardless of worker layout,
-    scheduling, or completion order.
+    same plan produces the same faults on every run.
     """
 
     seed: int = 0
     task_error: float = 0.0
-    pool_crash: float = 0.0
-    task_hang: float = 0.0
-    hang_s: float = 0.25
     cache_corrupt: float = 0.0
     disk_error: float = 0.0
     only_first_attempt: bool = False
@@ -97,8 +84,6 @@ class FaultPlan:
             rate = getattr(self, site)
             if not 0.0 <= float(rate) <= 1.0:
                 raise ValueError(f"{site} rate must be in [0, 1], got {rate}")
-        if self.hang_s < 0:
-            raise ValueError(f"hang_s must be >= 0, got {self.hang_s}")
 
     # -- decisions -----------------------------------------------------------
 
@@ -123,10 +108,6 @@ class FaultPlan:
         ).digest()
         u = int.from_bytes(digest[:8], "big") / 2.0**64
         return u < rate
-
-    def any_task_faults(self) -> bool:
-        """Whether this plan can perturb task execution at all."""
-        return (self.task_error > 0 or self.pool_crash > 0 or self.task_hang > 0)
 
     # -- serialization -------------------------------------------------------
 
@@ -234,25 +215,11 @@ def record_injection(site: str) -> None:
     metrics.inc(_SITE_COUNTERS[site])  # repro: noqa[RPR301]
 
 
-def apply_task_faults(
-    plan: FaultPlan, index: int, attempt: int, *, in_worker: bool
-) -> None:
-    """Run the task-level injection sites for one task execution.
+def apply_task_faults(plan: FaultPlan, index: int, attempt: int) -> None:
+    """Run the task-level injection site for one task execution.
 
-    Called by the executor's task wrapper before the real work.  Site
-    order is fixed (crash, hang, error) so a plan's behavior is stable.
-    ``pool_crash`` only fires inside a pool worker — ``os._exit`` in the
-    parent would kill the whole analysis rather than simulate a lost
-    worker.
+    Called by the executor before the real work.
     """
-    if in_worker and plan.should("pool_crash", index=index, attempt=attempt):
-        # A real worker death: the parent sees BrokenProcessPool.  No
-        # metric here — this process is gone; the parent counts the
-        # rebuild it observes.
-        os._exit(1)
-    if plan.should("task_hang", index=index, attempt=attempt):
-        record_injection("task_hang")
-        time.sleep(plan.hang_s)
     if plan.should("task_error", index=index, attempt=attempt):
         record_injection("task_error")
         raise InjectedTaskError(

@@ -5,12 +5,8 @@ runtime does — factorizations solved, solver iterations, cache hits and
 misses, seconds spent in each hot region — so that a benchmark or a CLI
 run can end with one ``runtime.summary()`` report instead of ad-hoc
 prints.  Everything is optional and cheap: a counter bump is a dict add
-under a lock, a timer is two ``perf_counter`` calls.
-
-Metrics recorded inside ``ProcessPoolExecutor`` workers live in those
-worker processes and are *not* merged back; the dispatch sites in
-:mod:`repro.runtime.executor` account for submitted/completed tasks in
-the parent so parallel runs still produce a meaningful report.
+under a lock, a timer is two ``perf_counter`` calls.  Every task runs in
+the calling process, so the registry sees all of them.
 """
 
 from __future__ import annotations

@@ -252,8 +252,8 @@ class RequestBroker:
     """Two coalescing lanes — ``nmf`` and ``search`` — over the runtime.
 
     ``search_many`` is the batched query callable (typically the sharded
-    repository's bound method).  NMF batches always run in process
-    (``workers=1``): one stacked engine call is the point of coalescing.
+    repository's bound method).  Each NMF batch runs as one stacked
+    engine call: that is the point of coalescing.
 
     Each lane is guarded by a :class:`CircuitBreaker`:
     ``breaker_threshold`` consecutive backend failures open it, after
@@ -361,7 +361,7 @@ class RequestBroker:
                 specs.extend(rep.specs)
             matrix = unique[order[0]][0][0].matrix
             try:
-                bundles = run_nmf_fits(matrix, specs, workers=1)
+                bundles = run_nmf_fits(matrix, specs)
             except BaseException as exc:
                 self.breakers["nmf"].record_failure(exc)
                 _fail(group_jobs, exc)

@@ -269,8 +269,6 @@ class ReproService:
         self.draining = False
         self.final_metrics: dict | None = None
 
-    # RPR201-safe: bound method handed to the broker thread in-process,
-    # never pickled to a pool.
     def _search_many(self, queries, *, tree, limit):
         return self.state.repo.search_many(queries, tree=tree, limit=limit)
 

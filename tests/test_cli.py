@@ -348,14 +348,16 @@ class TestSearchCli:
 
 
 class TestFaultsCli:
-    def test_batch_runs_through_the_pool(self, capsys):
-        assert main(["faults", "--fits", "4"]) == 0
+    def test_default_plan_recovers_bit_identically(self, capsys):
+        assert main(["faults"]) == 0
         out = capsys.readouterr().out
-        assert "500x400" in out
-        assert "ran through the process pool: yes" in out
-        assert "bit-identical to fault-free run: yes" in out
+        injected = re.search(r"(\d+) injected task error", out)
+        assert injected and int(injected.group(1)) > 0
+        assert "byte-identical to fault-free run: yes" in out
 
-    def test_in_process_batch_fails_the_demo(self, capsys):
-        """Below the pool threshold no fault can be injected: exit 1."""
-        assert main(["faults", "--rows", "30", "--cols", "24", "--fits", "2"]) == 1
-        assert "ran through the process pool: NO" in capsys.readouterr().out
+    def test_plan_that_injects_nothing_fails(self, capsys):
+        """A plan that injects no fault proves no recovery: exit 1."""
+        assert main(["faults", "--plan", "seed=7"]) == 1
+        out = capsys.readouterr().out
+        assert " 0 injected task error(s)" in out
+        assert "byte-identical to fault-free run: yes" in out

@@ -141,7 +141,7 @@ class TestMemmapDigests:
         mapped = np.load(path, mmap_mode="r")
         specs = nmf_restart_specs(a, 3, seed=1, solver="mu", n_restarts=2)
         cache = ResultCache()
-        warm = run_nmf_fits(a, specs, workers=1, cache=cache)
+        warm = run_nmf_fits(a, specs, cache=cache)
         assert cache.stats.misses == 2 and cache.stats.hits == 0
         served = run_nmf_fits(mapped, specs, cache=cache)
         assert cache.stats.hits == 2

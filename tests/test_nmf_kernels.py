@@ -4,8 +4,9 @@ The load-bearing property is *bit-identity*: for identical specs the
 engine must return exactly the bytes of the textbook 2-D solver loops in
 ``tests/oracles.py`` — same ``W``/``H``/``err``/``n_iter``/``converged``
 — whether it solves a batch (:func:`batched_nmf_fits`), one estimator
-fit (``NMF.fit_transform``) or process-pool tasks.  That is what keeps
-the content-addressed cache and every downstream figure stable.
+fit (``NMF.fit_transform``) or a :func:`run_nmf_fits` batch of any
+layout.  That is what keeps the content-addressed cache and every
+downstream figure stable.
 """
 
 import numpy as np
@@ -16,7 +17,7 @@ import repro.runtime as runtime
 from repro.factorization import kernels
 from repro.factorization.kernels import batched_nmf_fits, validate_sparse
 from repro.factorization.nmf import NMF, nmf_restart_specs, nndsvd_init
-from repro.runtime import executor, run_nmf_fits
+from repro.runtime import run_nmf_fits
 from repro.runtime.cache import ResultCache, matrix_digest
 from tests.oracles import oracle_fits
 
@@ -313,27 +314,8 @@ class TestSparsePath:
 
 
 class TestKernelResolution:
-    """``run_nmf_fits``' one dispatch rule: the process pool, each task
-    running the same engine, or the in-process engine."""
-
-    @pytest.fixture()
-    def pool_sized(self, binary, monkeypatch):
-        """Make ``binary`` large enough for the pool."""
-        monkeypatch.setattr(executor, "_POOL_MIN_ELEMS", binary.size)
-
-    def test_default_is_auto(self, binary, pool_sized, monkeypatch):
-        """In process unless ``workers > 1``, more than one dense spec
-        misses the cache, and ``A`` has at least ``_POOL_MIN_ELEMS``."""
-        specs = nmf_restart_specs(binary, 2, seed=1, n_restarts=2)
-        run_nmf_fits(binary, specs, workers=1, use_cache=False)
-        run_nmf_fits(binary, specs[:1], workers=2, use_cache=False)
-        run_nmf_fits(
-            scipy.sparse.csr_array(binary), specs, workers=2, use_cache=False
-        )
-        monkeypatch.setattr(executor, "_POOL_MIN_ELEMS", binary.size + 1)
-        run_nmf_fits(binary, specs, workers=2, use_cache=False)
-        assert runtime.metrics.get("runtime.nmf_strategy.batched") == 4
-        assert runtime.metrics.get("runtime.nmf_strategy.pool") == 0
+    """``run_nmf_fits``' one dispatch rule: every cache miss of a batch
+    runs through the in-process stacked engine."""
 
     def test_invalid_argument_raises(self, binary):
         specs = nmf_restart_specs(binary, 2, seed=1, n_restarts=2)
@@ -345,24 +327,23 @@ class TestKernelResolution:
             run_nmf_fits(binary, specs, use_cache=False),
         )
 
-    def test_run_nmf_fits_strategies_agree(self, binary, pool_sized):
+    def test_run_nmf_fits_strategies_agree(self, binary):
+        """Dense ``run_nmf_fits`` equals the oracle loops, and a batch
+        split across calls equals the whole batch."""
         specs = nmf_restart_specs(binary, 3, seed=6, n_restarts=4)
-        in_process = run_nmf_fits(binary, specs, workers=1, use_cache=False)
-        pooled = run_nmf_fits(binary, specs, workers=2, use_cache=False)
-        assert_bundles_bit_equal(in_process, oracle_fits(binary, specs))
-        assert_bundles_bit_equal(pooled, in_process)
-        assert runtime.metrics.get("runtime.nmf_strategy.batched") == 1
-        assert runtime.metrics.get("runtime.nmf_strategy.pool") == 1
+        whole = run_nmf_fits(binary, specs, use_cache=False)
+        assert_bundles_bit_equal(whole, oracle_fits(binary, specs))
+        halves = run_nmf_fits(binary, specs[:2], use_cache=False)
+        halves += run_nmf_fits(binary, specs[2:], use_cache=False)
+        assert_bundles_bit_equal(halves, whole)
 
-    def test_cache_is_strategy_oblivious(self, binary, pool_sized):
-        """A bundle cached by the pool is a hit in process."""
+    def test_cache_is_strategy_oblivious(self, binary):
+        """A bundle cached by one batch is a hit in any other batch."""
         specs = nmf_restart_specs(binary, 2, seed=8, n_restarts=3)
         cache = ResultCache()
-        run_nmf_fits(binary, specs, workers=2, cache=cache)
-        assert runtime.metrics.get("runtime.nmf_strategy.pool") == 1
+        run_nmf_fits(binary, specs, cache=cache)
         before = runtime.metrics.get("nmf.fits")
-        out = run_nmf_fits(binary, specs, workers=1, cache=cache)
+        out = [run_nmf_fits(binary, [spec], cache=cache)[0] for spec in specs]
         assert cache.stats.hits == len(specs)
         assert runtime.metrics.get("nmf.fits") == before
-        assert runtime.metrics.get("runtime.nmf_strategy.batched") == 0
         assert_bundles_bit_equal(out, oracle_fits(binary, specs))

@@ -54,7 +54,7 @@ def _isolated_runtime(monkeypatch):
     set_fault_plan(None)
 
 
-# -- module-level node functions (picklable across the pool boundary) --------
+# -- node functions ----------------------------------------------------------
 
 
 def _const(value, dep_values):
@@ -86,7 +86,7 @@ class TestPipelineEngine:
         return p
 
     def test_run_values(self):
-        run = self._diamond().run(workers=1, use_cache=False)
+        run = self._diamond().run(use_cache=False)
         assert run.value("d") == 4
         assert run.n_computed == 4 and run.n_hits == 0
 
@@ -108,16 +108,16 @@ class TestPipelineEngine:
 
     def test_warm_rerun_all_hits(self, tmp_path):
         cache = ResultCache(cache_dir=tmp_path)
-        cold = self._diamond().run(workers=1, cache=cache)
-        warm = self._diamond().run(workers=1, cache=cache)
+        cold = self._diamond().run(cache=cache)
+        warm = self._diamond().run(cache=cache)
         assert cold.n_computed == 4 and cold.n_hits == 0
         assert warm.n_hits == 4 and warm.n_computed == 0
         assert warm.value("d") == cold.value("d")
 
     def test_param_change_invalidates_downstream(self, tmp_path):
         cache = ResultCache(cache_dir=tmp_path)
-        self._diamond(a=1).run(workers=1, cache=cache)
-        run = self._diamond(a=2).run(workers=1, cache=cache)
+        self._diamond(a=1).run(cache=cache)
+        run = self._diamond(a=2).run(cache=cache)
         assert run.n_hits == 0 and run.value("d") == 8
 
     def test_early_cutoff(self, tmp_path):
@@ -133,19 +133,19 @@ class TestPipelineEngine:
         p1 = Pipeline()
         p1.add("a", partial(_const, 5), params={"rev": 1})
         p1.add("b", _double, deps=("a",))
-        p1.run(workers=1, cache=cache)
+        p1.run(cache=cache)
 
         p2 = Pipeline()
         p2.add("a", partial(_const, 5), params={"rev": 2})
         p2.add("b", _double, deps=("a",))
-        run = p2.run(workers=1, cache=cache)
+        run = p2.run(cache=cache)
         assert run.records["a"].status == "computed"
         assert run.records["b"].status == "hit"
 
     def test_use_cache_false_never_reads_or_writes(self, tmp_path):
         cache = ResultCache(cache_dir=tmp_path)
-        self._diamond().run(workers=1, cache=cache)
-        run = self._diamond().run(workers=1, cache=cache, use_cache=False)
+        self._diamond().run(cache=cache)
+        run = self._diamond().run(cache=cache, use_cache=False)
         assert run.n_computed == 4 and run.n_hits == 0
 
     def test_to_taskgraph_metrics(self):
@@ -538,9 +538,7 @@ class TestChaosPipeline:
         monkeypatch.setenv(
             "REPRO_FAULTS", "seed=3,task_error=0.4,only_first_attempt=1"
         )
-        chaotic = build_report_pipeline(courses, tree).run(
-            workers=2, cache=cache
-        )
+        chaotic = build_report_pipeline(courses, tree).run(cache=cache)
         assert metrics.get("executor.retry") > 0, "plan never fired"
         assert chaotic.value("report") == expected
 

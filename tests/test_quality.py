@@ -101,63 +101,6 @@ class TestRPR102WallClock:
         assert result.findings == []
 
 
-class TestRPR201UnpicklablePoolPayload:
-    def test_lambda_nested_def_and_bound_method_fire(self, tmp_path):
-        result = lint_sources(tmp_path, {"mod.py": """\
-            def dispatch(pool, parallel_map):
-                helper = object()
-
-                def nested(v):
-                    return v
-
-                pool.submit(lambda v: v, 1)
-                parallel_map(nested, [1, 2])
-                pool.submit(helper.method)
-            """})
-        assert codes(result) == ["RPR201"] * 3
-        assert [f.line for f in result.findings] == [7, 8, 9]
-        assert "lambda" in result.findings[0].message
-        assert "nested" in result.findings[1].message
-        assert "bound method" in result.findings[2].message
-
-    def test_module_level_function_is_silent(self, tmp_path):
-        result = lint_sources(tmp_path, {"mod.py": """\
-            def work(v):
-                return v
-
-            def dispatch(pool, parallel_map):
-                pool.submit(work, 1)
-                parallel_map(work, [1, 2])
-            """})
-        assert result.findings == []
-
-    def test_subscripted_receiver_chain_fires(self, tmp_path):
-        # The shard-query idiom: the bound method's receiver hides behind
-        # a subscript (shards[i].search) or a longer attribute chain.
-        result = lint_sources(tmp_path, {"mod.py": """\
-            def fan_out(shards, queries, parallel_map):
-                planner = object()
-                for i in range(len(shards)):
-                    parallel_map(shards[i].search, queries)
-                parallel_map(planner.pool[0].run, queries)
-            """})
-        assert codes(result) == ["RPR201"] * 2
-        assert [f.line for f in result.findings] == [4, 5]
-        assert "'shards'" in result.findings[0].message
-        assert "'planner'" in result.findings[1].message
-
-    def test_module_level_receiver_chain_is_silent(self, tmp_path):
-        # A chain rooted at a module-level name is not a function-local
-        # instance; the existing bound-method heuristic leaves it alone.
-        result = lint_sources(tmp_path, {"mod.py": """\
-            REGISTRY = {"a": object()}
-
-            def dispatch(parallel_map, queries):
-                parallel_map(REGISTRY["a"].search, queries)
-            """})
-        assert result.findings == []
-
-
 class TestRPR202CacheKeyCompleteness:
     NMF_BAD = """\
         from dataclasses import dataclass, field
@@ -396,7 +339,7 @@ class TestEngine:
 
     def test_findings_sorted_and_registry_complete(self, tmp_path):
         assert set(RULES) == {
-            "RPR101", "RPR102", "RPR201", "RPR202", "RPR301", "RPR401",
+            "RPR101", "RPR102", "RPR202", "RPR301", "RPR401",
             "RPR501", "RPR502", "RPR503", "RPR504",
         }
         result = lint_sources(tmp_path, {
@@ -533,33 +476,6 @@ class TestBaseline:
         stale.write_text(json.dumps({"version": 99, "entries": []}))
         with pytest.raises(ValueError, match="version"):
             load_baseline(stale)
-
-
-class TestParallelJobs:
-    def test_jobs_matches_serial_byte_for_byte(self):
-        """``--jobs N`` must be a pure perf knob: identical report text."""
-        package_root = Path(repro.__file__).parent
-        serial, s_status = run_lint_code([str(package_root)], fmt="json")
-        para, p_status = run_lint_code([str(package_root)], fmt="json", jobs=2)
-        assert serial == para
-        assert s_status == p_status == 0
-
-    def test_jobs_sees_findings_and_suppressions(self, tmp_path):
-        files = {
-            f"m{i}.py": "import numpy as np\nx = np.random.rand()\n"
-            for i in range(5)
-        }
-        files["ok.py"] = (
-            "import numpy as np\nx = np.random.rand()  # repro: noqa\n"
-        )
-        for name, source in files.items():
-            (tmp_path / name).write_text(source)
-        serial = analyze_paths([str(tmp_path)])
-        parallel = analyze_paths([str(tmp_path)], jobs=3)
-        assert [str(f) for f in parallel.findings] == [
-            str(f) for f in serial.findings
-        ]
-        assert parallel.n_suppressed == serial.n_suppressed == 1
 
 
 class TestSelfGate:

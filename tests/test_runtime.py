@@ -2,9 +2,9 @@
 
 Three invariants matter:
 
-1. **Determinism** — parallel dispatch produces results bit-identical to
-   the serial path for a fixed seed, at every layer (raw batch driver,
-   typing, consensus, stability, k-sweep).
+1. **Determinism** — every batch runs in the calling process, and a
+   stacked NMF batch equals its specs fit one at a time, bit for bit.
+   The analysis layers' values are pinned in ``tests/golden/analysis.json``.
 2. **Cache correctness** — a repeated call returns identical arrays and
    records a hit; distinct inputs never alias.
 3. **Metrics accounting** — counters and timers reflect what actually ran.
@@ -16,18 +16,9 @@ import numpy as np
 import pytest
 
 import repro.runtime as runtime
-from repro.analysis import build_course_matrix, type_courses
-from repro.analysis.model_selection import k_sweep, stability_score
-from repro.factorization.consensus import consensus_matrix
 from repro.factorization.nmf import nmf_restart_specs
 from repro.runtime.cache import ResultCache, array_digest, content_key
-from repro.runtime.executor import (
-    parallel_map,
-    resolve_workers,
-    run_nmf_fits,
-    set_default_workers,
-    spawn_seeds,
-)
+from repro.runtime.executor import parallel_map, run_nmf_fits
 from repro.runtime.metrics import MetricsRegistry
 
 
@@ -37,93 +28,32 @@ def a():
     return np.abs(rng.standard_normal((25, 40)))
 
 
-@pytest.fixture
-def small_matrix(a):
-    from repro.materials.course import Course
-    from repro.materials.material import Material, MaterialType
-
-    courses = []
-    for i in range(a.shape[0]):
-        tags = [f"t{j}" for j in range(a.shape[1]) if a[i, j] > 1.0] or ["t0"]
-        courses.append(
-            Course(
-                f"c{i}", f"c{i}",
-                materials=[
-                    Material(
-                        f"c{i}/m", "m", MaterialType.LECTURE, frozenset(tags)
-                    )
-                ],
-            )
-        )
-    return build_course_matrix(courses)
-
-
 @pytest.fixture(autouse=True)
 def _isolated_runtime():
-    """Each test starts with fresh metrics, empty cache, default workers."""
+    """Each test starts with fresh metrics and an empty cache."""
     runtime.reset()
-    set_default_workers(None)
     yield
     runtime.reset()
-    set_default_workers(None)
 
 
-# -- worker resolution -------------------------------------------------------
+# -- one execution mode ------------------------------------------------------
+
+
+def _pid(_):
+    return os.getpid()
 
 
 class TestResolveWorkers:
-    def test_default_is_serial(self, monkeypatch):
-        monkeypatch.delenv("REPRO_WORKERS", raising=False)
-        assert resolve_workers() == 1
+    """There is no worker count: every batch runs in the calling process."""
 
-    def test_explicit_argument_wins(self, monkeypatch):
-        monkeypatch.setenv("REPRO_WORKERS", "7")
-        assert resolve_workers(3) == 3
-
-    def test_env_variable(self, monkeypatch):
-        monkeypatch.setenv("REPRO_WORKERS", "5")
-        assert resolve_workers() == 5
-
-    def test_env_auto(self, monkeypatch):
-        monkeypatch.setenv("REPRO_WORKERS", "auto")
-        assert resolve_workers() == (os.cpu_count() or 1)
+    def test_default_is_serial(self):
+        assert parallel_map(_pid, range(4)) == [os.getpid()] * 4
 
     def test_env_garbage_ignored(self, monkeypatch):
-        monkeypatch.setenv("REPRO_WORKERS", "lots")
-        assert resolve_workers() == 1
-
-    def test_configured_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_WORKERS", "5")
-        runtime.configure(workers=2)
-        assert resolve_workers() == 2
-
-    def test_floor_of_one(self):
-        assert resolve_workers(0) == 1
-        assert resolve_workers(-3) == 1
-
-
-# -- seeds -------------------------------------------------------------------
-
-
-class TestSpawnSeeds:
-    def test_deterministic(self):
-        a = [s.generate_state(2).tolist() for s in spawn_seeds(42, 4)]
-        b = [s.generate_state(2).tolist() for s in spawn_seeds(42, 4)]
-        assert a == b
-
-    def test_children_distinct(self):
-        states = {tuple(s.generate_state(2)) for s in spawn_seeds(0, 16)}
-        assert len(states) == 16
-
-    def test_accepts_generator_and_seedseq(self):
-        g = np.random.default_rng(1)
-        assert len(spawn_seeds(g, 3)) == 3
-        ss = np.random.SeedSequence(9)
-        assert len(spawn_seeds(ss, 2)) == 2
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            spawn_seeds(0, -1)
+        """A stale ``REPRO_WORKERS`` from an older deployment is not read."""
+        for value in ("5", "auto", "lots"):
+            monkeypatch.setenv("REPRO_WORKERS", value)
+            assert parallel_map(_pid, range(4)) == [os.getpid()] * 4
 
 
 # -- parallel map ------------------------------------------------------------
@@ -135,81 +65,60 @@ def _square(x):
 
 class TestParallelMap:
     def test_preserves_order(self):
-        assert parallel_map(_square, range(10), workers=1) == [
-            x * x for x in range(10)
-        ]
+        assert parallel_map(_square, range(10)) == [x * x for x in range(10)]
 
     def test_parallel_matches_serial(self):
+        """``parallel_map`` is the plain loop: each task once, in order."""
+        calls = []
+
+        def task(x):
+            calls.append(x)
+            return _square(x)
+
         items = list(range(20))
-        assert parallel_map(_square, items, workers=3) == parallel_map(
-            _square, items, workers=1
-        )
+        assert parallel_map(task, items) == [_square(x) for x in items]
+        assert calls == items
 
     def test_unpicklable_falls_back_to_serial(self):
+        """Lambdas, closures and bound methods are valid tasks: nothing
+        is pickled, so a closure's side effects reach the caller."""
+        seen = []
         items = list(range(6))
-        out = parallel_map(lambda x: x + 1, items, workers=2)  # closures can't pickle
-        assert out == [x + 1 for x in items]
-        assert runtime.metrics.get("executor.fallback") == 1
+        assert parallel_map(lambda x: x + 1, items) == [x + 1 for x in items]
+        parallel_map(seen.append, items)
+        assert seen == items
 
     def test_empty(self):
-        assert parallel_map(_square, [], workers=4) == []
+        assert parallel_map(_square, []) == []
 
 
-# -- determinism through the analysis layers ---------------------------------
+# -- determinism -------------------------------------------------------------
 
 
 class TestDeterminism:
     def test_batch_parallel_equals_serial(self, a):
+        """A stacked batch equals its specs fit one at a time."""
         specs = nmf_restart_specs(a, 3, seed=0, n_restarts=6)
-        serial = run_nmf_fits(a, specs, workers=1, use_cache=False)
-        parallel = run_nmf_fits(a, specs, workers=4, use_cache=False)
-        for s, p in zip(serial, parallel):
-            assert np.array_equal(s["w"], p["w"])
-            assert np.array_equal(s["h"], p["h"])
-            assert float(s["err"]) == float(p["err"])
-
-    def test_type_courses_workers_invariant(self, small_matrix):
-        t1 = type_courses(small_matrix, 3, seed=7, workers=1)
-        t2 = type_courses(small_matrix, 3, seed=7, workers=3)
-        assert np.array_equal(t1.w, t2.w)
-        assert np.array_equal(t1.h, t2.h)
-        assert t1.reconstruction_err == t2.reconstruction_err
-
-    def test_consensus_workers_invariant(self, a):
-        c1 = consensus_matrix(a, 3, n_runs=5, seed=0, workers=1)
-        c2 = consensus_matrix(a, 3, n_runs=5, seed=0, workers=2)
-        assert np.array_equal(c1, c2)
-
-    def test_stability_workers_invariant(self, small_matrix):
-        s1 = stability_score(small_matrix, 2, n_runs=3, seed=1, workers=1)
-        s2 = stability_score(small_matrix, 2, n_runs=3, seed=1, workers=2)
-        assert s1 == s2
-
-    def test_k_sweep_workers_invariant(self, small_matrix):
-        e1 = k_sweep(small_matrix, [2, 3], seed=0, stability_runs=2, workers=1)
-        e2 = k_sweep(small_matrix, [2, 3], seed=0, stability_runs=2, workers=2)
-        assert e1 == e2
+        stacked = run_nmf_fits(a, specs, use_cache=False)
+        for spec, s in zip(specs, stacked):
+            (one,) = run_nmf_fits(a, [spec], use_cache=False)
+            assert np.array_equal(s["w"], one["w"])
+            assert np.array_equal(s["h"], one["h"])
+            assert float(s["err"]) == float(one["err"])
 
     def test_spawned_seed_specs_are_layout_independent(self, a):
-        """Seeds derived via spawn fan out identically in any batch split."""
-        seeds = [int(s.generate_state(1)[0]) for s in spawn_seeds(5, 4)]
-        whole = [
-            run_nmf_fits(
-                a,
-                nmf_restart_specs(a, 2, seed=s, n_restarts=1),
-                workers=1, use_cache=False,
-            )[0]
-            for s in seeds
+        """Seeds derived via ``SeedSequence.spawn`` fit identically whether
+        their specs run as one batch or one at a time."""
+        seeds = [
+            int(s.generate_state(1)[0])
+            for s in np.random.SeedSequence(5).spawn(4)
         ]
-        rerun = [
-            run_nmf_fits(
-                a,
-                nmf_restart_specs(a, 2, seed=s, n_restarts=1),
-                workers=2, use_cache=False,
-            )[0]
-            for s in seeds
+        specs = [
+            nmf_restart_specs(a, 2, seed=s, n_restarts=1)[0] for s in seeds
         ]
-        for x, y in zip(whole, rerun):
+        whole = run_nmf_fits(a, specs, use_cache=False)
+        split = [run_nmf_fits(a, [spec], use_cache=False)[0] for spec in specs]
+        for x, y in zip(whole, split):
             assert np.array_equal(x["w"], y["w"])
 
 
@@ -324,7 +233,7 @@ class TestMetrics:
     def test_fit_accounting(self, a):
         """One batch of N fits records N solver runs and their iterations."""
         specs = nmf_restart_specs(a, 2, seed=0, n_restarts=4)
-        results = run_nmf_fits(a, specs, workers=1, use_cache=False)
+        results = run_nmf_fits(a, specs, use_cache=False)
         m = runtime.metrics
         assert m.get("runtime.nmf_fits") == 4
         assert m.get("runtime.nmf_fits_computed") == 4
@@ -377,7 +286,7 @@ class TestConfigure:
 
     def test_bad_values_rejected(self):
         with pytest.raises(ValueError):
-            runtime.configure(workers=0)
+            runtime.configure(task_retries=-1)
         with pytest.raises(ValueError):
             ResultCache(max_entries=0)
 

@@ -11,8 +11,8 @@ Faults land where the service runs tasks through
 :func:`repro.runtime.parallel_map`: the shard fan-out behind
 ``/search`` and ``/similar``, which runs serially in the server
 process.  ``/typing`` rides along for the broker's NMF lane, which
-never enters ``parallel_map``.  Nothing crashes: no worker process
-exists, and the ``pool_crash`` site is inert outside pool workers.
+never enters ``parallel_map``.  The only task fault site is
+``task_error``: an injected error is retried in place.
 """
 
 from __future__ import annotations

@@ -41,9 +41,9 @@ def _fill(repo, courses):
     return repo
 
 
-def _pair(courses, n_shards, **kw):
+def _pair(courses, n_shards):
     flat = _fill(MaterialRepository(), courses)
-    sharded = _fill(ShardedMaterialRepository(n_shards, **kw), courses)
+    sharded = _fill(ShardedMaterialRepository(n_shards), courses)
     return flat, sharded
 
 
@@ -142,18 +142,6 @@ class TestQueryEquivalence:
         assert "fresh-mat" in [mat_id for mat_id, _ in got]
         assert _key(sharded.find_similar("fresh-mat", limit=5)) == \
             _key(flat.find_similar("fresh-mat", limit=5))
-
-    def test_pool_fanout_matches_serial(self, corpus2k, cs2013):
-        # workers=2 pushes the shard payloads through the real process
-        # pool (pickling the per-shard repositories); results must not
-        # change.
-        serial = _fill(ShardedMaterialRepository(4), corpus2k)
-        pooled = _fill(ShardedMaterialRepository(4, workers=2), corpus2k)
-        qs = _queries(cs2013, seed=37)[:6]
-        assert [_key(h) for h in pooled.search_many(qs, tree=cs2013, limit=5)] \
-            == [_key(h) for h in serial.search_many(qs, tree=cs2013, limit=5)]
-        mid = next(iter(m.id for m in serial.materials()))
-        assert _key(pooled.find_similar(mid)) == _key(serial.find_similar(mid))
 
     def test_validation_mirrors_flat(self, corpus2k):
         _, sharded = _pair(corpus2k[:3], 4)
