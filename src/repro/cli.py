@@ -481,53 +481,6 @@ def cmd_ingest(args) -> int:
     return 0 if not report.excluded or args.allow_excluded else 1
 
 
-def cmd_faults(args) -> int:
-    """Demonstrate fault recovery: a faulty report must match a clean one."""
-    import os as _os
-
-    import repro.runtime as runtime
-    from repro.canonical import load_canonical_dataset
-    from repro.report import build_report
-
-    plan = runtime.parse_fault_plan(args.plan)
-    tree, courses, _ = load_canonical_dataset()
-
-    def run() -> str:
-        return build_report(courses, tree, use_cache=False)
-
-    # Clean reference: no configured plan, and shield from REPRO_FAULTS.
-    env_plan = _os.environ.pop("REPRO_FAULTS", None)
-    try:
-        runtime.configure(fault_plan=None)
-        baseline = run()
-    finally:
-        if env_plan is not None:
-            _os.environ["REPRO_FAULTS"] = env_plan
-    runtime.reset()
-    runtime.configure(fault_plan=plan)
-    try:
-        faulty = run()
-    finally:
-        runtime.configure(fault_plan=None)
-    # A plan that injected nothing, or faults nobody retried, proves
-    # nothing about recovery.
-    injected = runtime.metrics.get("faults.task_error")
-    retried = runtime.metrics.get("executor.retry")
-    identical = faulty == baseline
-    report = runtime.failure_report()
-    print(f"plan: {plan.describe()}")
-    print(f"canonical report: {runtime.metrics.get('executor.tasks')} "
-          f"pipeline tasks, {injected} injected task error(s), "
-          f"{retried} retried")
-    print(f"recovery events: {report.summary()}")
-    print("byte-identical to fault-free run:", "yes" if identical else "NO")
-    if args.report_out:
-        with open(args.report_out, "w") as fh:
-            fh.write(report.to_json() + "\n")
-        print(f"wrote failure report to {args.report_out}")
-    return 0 if identical and injected > 0 and retried > 0 else 1
-
-
 def _service_state(args):
     from repro.materials.persist import (
         has_state,
@@ -678,11 +631,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--no-cache", action="store_true",
         help="disable factorization memoization entirely",
-    )
-    p.add_argument(
-        "--retries", type=_nonneg_int, default=None, metavar="N",
-        help="per-task retry budget for transient task failures; 0 "
-             "disables retries (default: $REPRO_TASK_RETRIES or 2)",
     )
     p.add_argument(
         "--runtime-summary", action="store_true",
@@ -887,20 +835,6 @@ def build_parser() -> argparse.ArgumentParser:
     ig.add_argument("--format", choices=("text", "json"), default="text")
     ig.set_defaults(func=cmd_ingest)
 
-    fa = sub.add_parser(
-        "faults",
-        help="fault-injection demo: build the canonical report under a "
-             "chaos plan and verify recovery reproduces the fault-free bytes",
-    )
-    fa.add_argument(
-        "--plan",
-        default="seed=7,task_error=0.2,only_first_attempt=1",
-        help="REPRO_FAULTS-syntax fault plan to inject",
-    )
-    fa.add_argument("--report-out", default=None, metavar="PATH",
-                    help="write the FailureReport JSON here")
-    fa.set_defaults(func=cmd_faults)
-
     sv = sub.add_parser(
         "serve",
         help="run the analysis service: a threaded JSON API with "
@@ -997,7 +931,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     runtime.configure(
         cache_dir=args.cache_dir if args.cache_dir is not None else ...,
         cache_enabled=False if args.no_cache else None,
-        task_retries=args.retries,
     )
     status = args.func(args)
     if args.runtime_summary:

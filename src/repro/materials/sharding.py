@@ -9,11 +9,9 @@ material to ``sha256(material_id) % n_shards`` — a stable, data-independent
 partition, so the same corpus always shards the same way regardless of
 ingestion order.
 
-Every query fans out through
-:func:`repro.runtime.executor.parallel_map` (so shard queries inherit its
-transient-retry taxonomy and the active fault plan), a loop over the
-shards in the calling process, and merges exactly; this is how the
-analysis service answers ``/search`` and ``/similar``.  The merge:
+Every query loops over the shards in the calling process and merges
+exactly; this is how the analysis service answers ``/search`` and
+``/similar``.  The merge:
 
 * the per-hit *scores* are pure functions of (material, query) — Jaccard
   over exact integer set sizes — so a shard computes bit-identical floats
@@ -53,7 +51,6 @@ from repro.materials.repository import (
 )
 from repro.materials.similarity import similarity_matrix
 from repro.ontology.tree import GuidelineTree
-from repro.runtime.executor import parallel_map
 from repro.runtime.metrics import metrics
 
 
@@ -69,29 +66,17 @@ def shard_of(material_id: str, n_shards: int) -> int:
     return int.from_bytes(digest[:8], "big") % n_shards
 
 
-# -- fan-out tasks -----------------------------------------------------------
+# -- per-shard queries -------------------------------------------------------
 
 
-def _search_task(
-    payload: tuple[MaterialRepository, SearchQuery, GuidelineTree | None, int | None],
+def _shard_similar(
+    repo: MaterialRepository, tags: frozenset[str], exclude_id: str, k: int
 ) -> list[SearchResult]:
-    repo, query, tree, limit = payload
-    return repo.search(query, tree=tree, limit=limit)
+    """One shard's top-``k`` Jaccard neighbours of ``tags``.
 
-
-def _search_many_task(
-    payload: tuple[
-        MaterialRepository, list[SearchQuery], GuidelineTree | None, int | None
-    ],
-) -> list[list[SearchResult]]:
-    repo, queries, tree, limit = payload
-    return repo.search_many(queries, tree=tree, limit=limit)
-
-
-def _similar_task(
-    payload: tuple[MaterialRepository, frozenset[str], str, int],
-) -> list[SearchResult]:
-    repo, tags, exclude_id, k = payload
+    ``exclude_id`` (the reference material) is left out when this shard
+    holds it.
+    """
     index = repo.index
     if not len(index):
         return []
@@ -305,9 +290,13 @@ class ShardedMaterialRepository:
         MaterialRepository._validate_level_filters(query, tree)
         with metrics.timer("shard.search"):
             metrics.inc("shard.search.queries")
-            payloads = [(shard, query, tree, limit) for shard in self._shards]
-            per_shard = parallel_map(_search_task, payloads)
-            return _merge_ranked(per_shard, limit)
+            return _merge_ranked(
+                (
+                    shard.search(query, tree=tree, limit=limit)
+                    for shard in self._shards
+                ),
+                limit,
+            )
 
     def search_many(
         self,
@@ -324,10 +313,10 @@ class ShardedMaterialRepository:
             return []
         with metrics.timer("shard.search_many"):
             metrics.inc("shard.search_many.queries", len(queries))
-            payloads = [
-                (shard, list(queries), tree, limit) for shard in self._shards
+            per_shard = [
+                shard.search_many(queries, tree=tree, limit=limit)
+                for shard in self._shards
             ]
-            per_shard = parallel_map(_search_many_task, payloads)
             return [
                 _merge_ranked([hits[qi] for hits in per_shard], limit)
                 for qi in range(len(queries))
@@ -342,12 +331,13 @@ class ShardedMaterialRepository:
         ref = self.material(material_id)
         with metrics.timer("shard.find_similar"):
             metrics.inc("shard.find_similar.queries")
-            payloads = [
-                (shard, ref.mappings, material_id, limit)
-                for shard in self._shards
-            ]
-            per_shard = parallel_map(_similar_task, payloads)
-            return _merge_ranked(per_shard, limit)
+            return _merge_ranked(
+                (
+                    _shard_similar(shard, ref.mappings, material_id, limit)
+                    for shard in self._shards
+                ),
+                limit,
+            )
 
     def similarity_matrix(self, *, metric: str = "jaccard") -> np.ndarray:
         """Pairwise similarity over all materials in global insertion order.

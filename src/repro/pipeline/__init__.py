@@ -2,12 +2,13 @@
 
 Declares the paper pipeline (corpus → matrix → NMF → typing/flavors →
 agreement → anchors → report) as an explicit dependency DAG of
-content-addressed nodes, executed through the fault-tolerant runtime
-executor and memoized in the checksummed result cache, so re-running
-after a small corpus change recomputes only the affected nodes.
+content-addressed nodes, executed in the calling process and memoized
+in the checksummed result cache, so re-running after a small corpus
+change recomputes only the affected nodes.
 
 * :mod:`~repro.pipeline.core` — the engine: :class:`Pipeline`,
-  :class:`PipelineNode`, content keys with early cutoff, wave execution.
+  :class:`PipelineNode`, content keys with early cutoff, execution in
+  registration order.
 * :mod:`~repro.pipeline.report` — the report DAG:
   :func:`build_report_pipeline`.
 """

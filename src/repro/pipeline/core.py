@@ -16,15 +16,13 @@ change forces a node to recompute but the recomputed value is bit-identical
 course matrix is unchanged), every node downstream still hits the cache.
 Recomputation stops at the first node whose *value* actually changed.
 
-Execution walks the DAG in Kahn waves (all ready nodes at once); each
-wave's cache misses run through
-:func:`repro.runtime.executor.parallel_map` in the calling process, so
-transient-failure retries and fault injection apply per node, and
-deterministic node functions make recovery bit-identical.  Results are
-memoized in the checksummed
-:class:`repro.runtime.cache.ResultCache` (memory LRU + optional on-disk
-``.npz`` layer), values traveling as pickled byte arrays, so warm re-runs
-replay across process restarts too.
+Execution walks the nodes in registration order, which is topological
+because :meth:`Pipeline.add` rejects a dependency not yet registered.
+Each cache miss runs inline in the calling process; an exception a node
+function raises propagates unchanged.  Results are memoized in the
+checksummed :class:`repro.runtime.cache.ResultCache` (memory LRU +
+optional on-disk ``.npz`` layer), values traveling as pickled byte
+arrays, so warm re-runs replay across process restarts too.
 
 The DAG itself is a :class:`repro.taskgraph.dag.TaskGraph` (the previously
 benchmark-only subsystem now drives real work): :meth:`Pipeline.to_taskgraph`
@@ -42,7 +40,6 @@ from typing import Any, Callable, Mapping, Sequence
 import numpy as np
 
 from repro.runtime.cache import ResultCache, result_cache
-from repro.runtime.executor import parallel_map
 from repro.runtime.metrics import metrics
 from repro.taskgraph.dag import TaskGraph
 from repro.util.digest import canonical_digest
@@ -102,14 +99,6 @@ def _freeze_params(params: Mapping[str, Any] | None) -> tuple[tuple[str, str], .
         val = params[name]
         out.append((name, f"{type(val).__name__}:{val!r}"))
     return tuple(out)
-
-
-def _run_node(payload: tuple) -> tuple[Any, float]:
-    """Execute one node, returning ``(value, seconds)``."""
-    fn, dep_values = payload
-    t0 = time.perf_counter()
-    value = fn(dep_values)
-    return value, time.perf_counter() - t0
 
 
 @dataclass(frozen=True)
@@ -228,30 +217,6 @@ class Pipeline:
         ]
         return TaskGraph.from_edges(weights, edges)
 
-    def _waves(self) -> list[list[str]]:
-        """Kahn antichains: every node whose deps are all in earlier waves."""
-        remaining = {n: len(self._nodes[n].deps) for n in self._nodes}
-        wave = sorted(n for n, c in remaining.items() if c == 0)
-        waves: list[list[str]] = []
-        done: set[str] = set()
-        succ: dict[str, list[str]] = {n: [] for n in self._nodes}
-        for node in self._nodes.values():
-            for dep in node.deps:
-                succ[dep].append(node.name)
-        while wave:
-            waves.append(wave)
-            done.update(wave)
-            ready: list[str] = []
-            for n in wave:
-                for s in succ[n]:
-                    remaining[s] -= 1
-                    if remaining[s] == 0:
-                        ready.append(s)
-            wave = sorted(ready)
-        if len(done) != len(self._nodes):
-            raise ValueError("pipeline graph contains a cycle")
-        return waves
-
     def run(
         self,
         *,
@@ -260,57 +225,43 @@ class Pipeline:
     ) -> PipelineRun:
         """Execute the DAG, replaying memoized nodes and computing the rest.
 
-        Each wave's cache misses run through :func:`parallel_map`, in
-        wave order; ``cache`` overrides the process-global
-        :data:`repro.runtime.cache.result_cache`; ``use_cache=False``
-        recomputes every node without reading or writing memoized values.
+        Nodes run in registration order; ``cache`` overrides the
+        process-global :data:`repro.runtime.cache.result_cache`;
+        ``use_cache=False`` recomputes every node without reading or
+        writing memoized values.
         """
         store = cache if cache is not None else result_cache
         values: dict[str, Any] = {}
         digests: dict[str, str] = {}
         records: dict[str, NodeRecord] = {}
-        order: list[str] = []
         metrics.inc("pipeline.runs")
         with metrics.timer("pipeline.run"):
-            for wave in self._waves():
-                pending: list[tuple[str, str]] = []
-                for name in wave:
-                    t0 = time.perf_counter()
-                    node = self._nodes[name]
-                    key = node.key(digests)
-                    hit = store.get(key) if use_cache else None
-                    if hit is not None:
-                        raw = hit["value"].tobytes()
-                        values[name] = pickle.loads(raw)
-                        digests[name] = value_digest(raw)
-                        records[name] = NodeRecord(
-                            name, key, digests[name], "hit",
-                            time.perf_counter() - t0,
-                        )
-                        metrics.inc("pipeline.node_hit")
-                    else:
-                        pending.append((name, key))
-                    order.append(name)
-                if not pending:
-                    continue
-                payloads = [
-                    (
-                        self._nodes[name].fn,
-                        {d: values[d] for d in self._nodes[name].deps},
-                    )
-                    for name, _ in pending
-                ]
-                outs = parallel_map(_run_node, payloads)
-                for (name, key), (out, seconds) in zip(pending, outs):
-                    raw = pickle.dumps(out, protocol=_PICKLE_PROTOCOL)
-                    values[name] = out
+            for name, node in self._nodes.items():
+                t0 = time.perf_counter()
+                key = node.key(digests)
+                hit = store.get(key) if use_cache else None
+                if hit is not None:
+                    raw = hit["value"].tobytes()
+                    values[name] = pickle.loads(raw)
                     digests[name] = value_digest(raw)
                     records[name] = NodeRecord(
-                        name, key, digests[name], "computed", seconds
+                        name, key, digests[name], "hit",
+                        time.perf_counter() - t0,
                     )
-                    metrics.inc("pipeline.node_computed")
-                    if use_cache:
-                        store.put(
-                            key, {"value": np.frombuffer(raw, dtype=np.uint8)}
-                        )
-        return PipelineRun(values=values, records=records, order=tuple(order))
+                    metrics.inc("pipeline.node_hit")
+                    continue
+                t0 = time.perf_counter()
+                out = node.fn({d: values[d] for d in node.deps})
+                seconds = time.perf_counter() - t0
+                raw = pickle.dumps(out, protocol=_PICKLE_PROTOCOL)
+                values[name] = out
+                digests[name] = value_digest(raw)
+                records[name] = NodeRecord(
+                    name, key, digests[name], "computed", seconds
+                )
+                metrics.inc("pipeline.node_computed")
+                if use_cache:
+                    store.put(
+                        key, {"value": np.frombuffer(raw, dtype=np.uint8)}
+                    )
+        return PipelineRun(values=values, records=records, order=tuple(values))

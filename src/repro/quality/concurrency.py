@@ -67,9 +67,7 @@ _INIT_METHODS = frozenset({"__init__", "__post_init__", "__new__"})
 
 #: Batch entry points that run every task before returning (RPR503).
 _BATCH_DISPATCH = frozenset({
-    "repro.runtime.executor.parallel_map",
     "repro.runtime.executor.run_nmf_fits",
-    "repro.runtime.parallel_map",
     "repro.runtime.run_nmf_fits",
 })
 

@@ -8,7 +8,7 @@ primitives that exploit that, in the calling process:
 
 * :mod:`~repro.runtime.executor` — the NMF batch driver (one stacked
   engine call per batch of cache misses, pre-drawn initializations) and
-  an ordered task map with transient-retry and fault injection;
+  the process-global :class:`FailureReport`;
 * :mod:`~repro.runtime.cache` — content-addressed memoization of
   factorization results (in-memory LRU + optional on-disk layer);
 * :mod:`~repro.runtime.metrics` — named counters, wall-time timers, and
@@ -38,24 +38,15 @@ from repro.runtime.cache import (
     result_cache,
 )
 from repro.runtime.executor import (
-    DEFAULT_TASK_RETRIES,
     FailureEvent,
     FailureReport,
-    TaskError,
     failure_report,
-    parallel_map,
-    resolve_task_retries,
     run_nmf_fits,
-    set_default_task_retries,
-    task_retries_from_env,
 )
 from repro.runtime.faults import (
     FaultPlan,
-    InjectedTaskError,
-    TransientTaskError,
     active_fault_plan,
     fault_plan_from_env,
-    faults_active,
     parse_fault_plan,
     set_fault_plan,
 )
@@ -78,25 +69,20 @@ from repro.runtime import sanitize as _sanitize
 
 __all__ = [
     "CacheStats",
-    "DEFAULT_TASK_RETRIES",
     "FailureEvent",
     "FailureReport",
     "FaultPlan",
     "HistogramStat",
-    "InjectedTaskError",
     "MetricsRegistry",
     "NMF_KEY_PARAMS",
     "ResultCache",
-    "TaskError",
     "TimerStat",
-    "TransientTaskError",
     "active_fault_plan",
     "array_digest",
     "configure",
     "content_key",
     "failure_report",
     "fault_plan_from_env",
-    "faults_active",
     "LockSanitizer",
     "LockViolation",
     "make_condition",
@@ -106,16 +92,12 @@ __all__ = [
     "set_sanitize",
     "matrix_digest",
     "metrics",
-    "parallel_map",
     "parse_fault_plan",
     "reset",
-    "resolve_task_retries",
     "result_cache",
     "run_nmf_fits",
-    "set_default_task_retries",
     "set_fault_plan",
     "summary",
-    "task_retries_from_env",
 ]
 
 
@@ -124,15 +106,13 @@ def configure(
     cache_dir: str | os.PathLike | None | object = ...,
     cache_enabled: bool | None = None,
     cache_max_entries: int | None = None,
-    task_retries: int | None = None,
     fault_plan: FaultPlan | str | None | object = ...,
     sanitize: bool | str | None | object = ...,
 ) -> None:
     """Configure the process-global runtime in one call.
 
     ``cache_dir=None`` switches the cache to memory-only;
-    ``task_retries`` bounds per-task retries of transient failures (0
-    disables retries); ``fault_plan`` arms fault injection (a
+    ``fault_plan`` arms cache fault injection (a
     :class:`FaultPlan` or ``REPRO_FAULTS``-syntax string; ``None``
     disarms, deferring to the environment); ``sanitize`` arms the lock
     sanitizer for locks created *afterwards* (``"locks"``/``True`` on,
@@ -140,8 +120,6 @@ def configure(
     building the service stack, or via the environment to cover
     module-global locks).  Omitted keywords keep their current values.
     """
-    if task_retries is not None:
-        set_default_task_retries(task_retries)
     if fault_plan is not ...:
         set_fault_plan(fault_plan)  # type: ignore[arg-type]
     if sanitize is not ...:

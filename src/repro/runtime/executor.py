@@ -1,4 +1,4 @@
-"""Ordered task batches and the NMF batch driver, in the calling process.
+"""Batched NMF fits and the runtime's failure report, in the calling process.
 
 Multi-restart NMF, consensus resampling and k-sweep model selection are
 batches of independent factorizations of one matrix.
@@ -8,33 +8,21 @@ where it can and advances every miss in one stacked engine loop
 random state (pre-drawn ``W0``/``H0`` or a deterministic init), so a
 cached bundle, a batch of one and a batch of many are bit-identical.
 
-:func:`parallel_map` runs the other batches (pipeline waves, shard
-fan-out) as an ordered loop with one error taxonomy (in full in
-docs/ARCHITECTURE.md):
+Every other batch (pipeline nodes, shard fan-out) is a plain loop at
+its call site: an exception a task raises propagates unchanged.
 
-* a **task bug** — any exception the task itself raises — propagates
-  immediately as :class:`TaskError`, carrying the task index and the
-  original traceback; it is never retried;
-* a **transient task failure** (:class:`TransientTaskError`, which
-  injected faults subclass) is retried in place up to the retry budget.
-
-Retries and task errors are counted in
-:data:`~repro.runtime.metrics.metrics` (``executor.retry``,
-``executor.task_error``) and appended to the process-global
-:class:`FailureReport` (see :func:`failure_report`).  The retry budget
-resolves from the ``retries=`` argument > ``configure(task_retries=)`` >
-``REPRO_TASK_RETRIES`` > 2.
+:class:`FailureReport` is the process-global log of the faults the
+runtime observed and survived: cache quarantines, circuit-breaker trips
+and lock-sanitizer findings (see :func:`failure_report`).
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import os
 import threading
-import traceback
 from dataclasses import dataclass, field
-from typing import Any, Callable, Mapping, Sequence, TypeVar
+from typing import Any, Mapping, Sequence
 
 import numpy as np
 import scipy.sparse
@@ -47,110 +35,30 @@ from repro.runtime.cache import (
     matrix_digest,
     result_cache,
 )
-from repro.runtime.faults import (
-    FaultPlan,
-    TransientTaskError,
-    active_fault_plan,
-    apply_task_faults,
-)
 from repro.runtime.metrics import metrics
 from repro.runtime.sanitize import lock_factory
 
-T = TypeVar("T")
-R = TypeVar("R")
-
-
-# -- retry policy ------------------------------------------------------------
-
-#: Default per-task retry budget for transient task failures.
-DEFAULT_TASK_RETRIES = 2
-
-_configured_task_retries: int | None = None
-
-
-def set_default_task_retries(retries: int | None) -> None:
-    """Set (or with ``None`` clear) the configured per-task retry budget."""
-    global _configured_task_retries
-    if retries is not None and retries < 0:
-        raise ValueError(f"task retries must be >= 0, got {retries}")
-    _configured_task_retries = retries
-
-
-def task_retries_from_env() -> int | None:
-    """Parse ``REPRO_TASK_RETRIES``; ``None`` if unset/invalid."""
-    raw = os.environ.get("REPRO_TASK_RETRIES", "").strip()
-    if not raw:
-        return None
-    try:
-        n = int(raw)
-    except ValueError:
-        return None
-    return n if n >= 0 else None
-
-
-def resolve_task_retries(retries: int | None = None) -> int:
-    """Effective retry budget: argument > configure() > env > default (2).
-
-    ``0`` disables retries entirely: the first transient failure of a
-    task surfaces to the caller.
-    """
-    if retries is not None:
-        if retries < 0:
-            raise ValueError(f"task retries must be >= 0, got {retries}")
-        return int(retries)
-    if _configured_task_retries is not None:
-        return _configured_task_retries
-    env = task_retries_from_env()
-    return env if env is not None else DEFAULT_TASK_RETRIES
-
-
-# -- error taxonomy ----------------------------------------------------------
-
-
-class TaskError(RuntimeError):
-    """A task-raised exception, annotated with its task index.
-
-    The original exception rides along as ``__cause__`` / ``original``;
-    ``original_traceback`` holds its formatted traceback.
-    """
-
-    def __init__(
-        self, index: int, original: BaseException, original_traceback: str = ""
-    ) -> None:
-        super().__init__(
-            f"task {index} raised {type(original).__name__}: {original}"
-        )
-        self.index = index
-        self.original = original
-        self.original_traceback = original_traceback
+# -- failure report ----------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class FailureEvent:
-    """One observed failure/recovery event in the executor or cache."""
+    """One observed failure/recovery event in the runtime or service."""
 
-    kind: str               # "retry" | "task_error" | "cache_quarantined"
-    task_index: int | None = None
-    attempt: int = 0
+    kind: str               # "cache_quarantined" | "breaker_open" | "sanitizer.*"
     error: str = ""         # repr of the triggering exception
     detail: str = ""
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "kind": self.kind,
-            "task_index": self.task_index,
-            "attempt": self.attempt,
-            "error": self.error,
-            "detail": self.detail,
-        }
+        return {"kind": self.kind, "error": self.error, "detail": self.detail}
 
 
 @dataclass
 class FailureReport:
     """Structured log of every fault the runtime observed and survived.
 
-    Accumulates across batches (like metrics) until :func:`repro.runtime.reset`;
-    the chaos CI job uploads its JSON form as a build artifact.
+    Accumulates (like metrics) until :func:`repro.runtime.reset`; the
+    service's ``/metrics`` document carries its counts.
     """
 
     events: list[FailureEvent] = field(default_factory=list)
@@ -163,16 +71,12 @@ class FailureReport:
         self,
         kind: str,
         *,
-        task_index: int | None = None,
-        attempt: int = 0,
         error: BaseException | str = "",
         detail: str = "",
     ) -> None:
         err = repr(error) if isinstance(error, BaseException) else error
         with self._lock:
-            self.events.append(
-                FailureEvent(kind, task_index, attempt, err, detail)
-            )
+            self.events.append(FailureEvent(kind, err, detail))
 
     @property
     def counts(self) -> dict[str, int]:
@@ -219,71 +123,6 @@ _failure_report = FailureReport()
 def failure_report() -> FailureReport:
     """The process-global :class:`FailureReport`."""
     return _failure_report
-
-
-# -- ordered map -------------------------------------------------------------
-
-
-def parallel_map(
-    fn: Callable[[T], R],
-    items: Sequence[T],
-    *,
-    retries: int | None = None,
-) -> list[R]:
-    """Map ``fn`` over ``items`` in order, in the calling process.
-
-    Each task first meets the active fault plan's ``task_error`` site,
-    then runs.  A :class:`TransientTaskError` is retried up to
-    ``retries`` times (resolution: argument > ``configure(task_retries=)``
-    > ``REPRO_TASK_RETRIES`` > 2); any other exception, or a transient
-    one out of budget, raises :class:`TaskError` for that task.
-    """
-    items = list(items)
-    max_retries = resolve_task_retries(retries)
-    plan = active_fault_plan()
-    metrics.inc("executor.tasks", len(items))
-    with metrics.timer("executor.map"):
-        return [
-            _run_task(fn, plan, i, item, max_retries)
-            for i, item in enumerate(items)
-        ]
-
-
-def _run_task(
-    fn: Callable[[T], R],
-    plan: FaultPlan | None,
-    index: int,
-    item: T,
-    max_retries: int,
-) -> R:
-    """One task, honoring the transient-retry budget."""
-    attempt = 0
-    while True:
-        try:
-            if plan is not None:
-                apply_task_faults(plan, index, attempt)
-            return fn(item)
-        except TransientTaskError as exc:
-            if attempt >= max_retries:
-                _failure_report.add(
-                    "task_error", task_index=index, attempt=attempt, error=exc
-                )
-                metrics.inc("executor.task_error")
-                raise TaskError(index, exc, traceback.format_exc()) from exc
-            attempt += 1
-            _failure_report.add(
-                "retry", task_index=index, attempt=attempt, error=exc,
-                detail="transient task failure",
-            )
-            metrics.inc("executor.retry")
-        except (KeyboardInterrupt, SystemExit):
-            raise
-        except BaseException as exc:
-            _failure_report.add(
-                "task_error", task_index=index, attempt=attempt, error=exc
-            )
-            metrics.inc("executor.task_error")
-            raise TaskError(index, exc, traceback.format_exc()) from exc
 
 
 # -- NMF batch driver --------------------------------------------------------

@@ -1,20 +1,16 @@
-"""Deterministic, seeded fault injection for the analysis runtime.
+"""Deterministic, seeded fault injection for the result cache.
 
-The paper's own pipeline had to drop 11 of 31 classified courses "for
-technical reasons" — real infrastructure misbehaves.  The recovery paths
-in :mod:`repro.runtime.executor` and :mod:`repro.runtime.cache` (per-task
-retries, cache quarantine) are only trustworthy if they can be exercised
-*on demand*, not just when the OS happens to fail.  This module is that
-switch: a :class:`FaultPlan` describes which faults to inject at what
-rate, and every injection decision is a pure function of ``(plan seed,
-site, task index, attempt, token)`` — no global counters, no wall clock —
-so a faulty run is exactly reproducible.
+The cache's recovery paths in :mod:`repro.runtime.cache` (a failed write
+is counted and skipped; a corrupt entry is detected on read, moved to
+``quarantine/`` and recomputed) are only trustworthy if they can be
+exercised *on demand*, not just when the disk happens to fail.  This
+module is that switch: a :class:`FaultPlan` describes which faults to
+inject at what rate, and every injection decision is a pure function of
+``(plan seed, site, token)`` — no global counters, no wall clock — so a
+faulty run is exactly reproducible.
 
 Injection sites:
 
-* ``task_error`` — the task raises :class:`InjectedTaskError` (a
-  :class:`TransientTaskError`) before doing any work; the executor
-  retries it like any transient task failure.
 * ``cache_corrupt`` — a persisted cache entry is truncated after the
   atomic rename, so the next read must detect and quarantine it.
 * ``disk_error`` — a cache write raises :class:`OSError` before writing.
@@ -23,11 +19,7 @@ Activation: ``configure(fault_plan=...)`` /
 :func:`set_fault_plan` (wins) or the ``REPRO_FAULTS`` environment
 variable, e.g.::
 
-    REPRO_FAULTS="seed=7,task_error=0.1,only_first_attempt=1"
-
-``only_first_attempt=1`` restricts every fault to attempt 0 of each
-task, which guarantees that a single retry recovers — the setting the
-chaos CI job runs the test suite under.
+    REPRO_FAULTS="seed=7,cache_corrupt=0.1,disk_error=0.05"
 """
 
 from __future__ import annotations
@@ -39,23 +31,8 @@ from dataclasses import dataclass, fields
 from repro.runtime.metrics import metrics
 
 
-class TransientTaskError(RuntimeError):
-    """A task-level failure worth retrying (flaky environment, not a bug).
-
-    The executor retries tasks that raise this (or a subclass) up to the
-    retry budget; any other exception from a task is treated as a
-    deterministic task bug and propagates immediately as a
-    :class:`~repro.runtime.executor.TaskError`.
-    """
-
-
-class InjectedTaskError(TransientTaskError):
-    """The exception raised by a ``task_error`` injection."""
-
-
 #: Injection-site name -> metric counter (literal names for RPR301).
 _SITE_COUNTERS = {
-    "task_error": "faults.task_error",
     "cache_corrupt": "faults.cache_corrupt",
     "disk_error": "faults.disk_error",
 }
@@ -69,15 +46,13 @@ class FaultPlan:
     """A reproducible schedule of injected faults.
 
     Every rate is an independent per-decision probability; decisions are
-    derived by hashing ``(seed, site, index, attempt, token)``, so the
-    same plan produces the same faults on every run.
+    derived by hashing ``(seed, site, token)``, so the same plan produces
+    the same faults on every run.
     """
 
     seed: int = 0
-    task_error: float = 0.0
     cache_corrupt: float = 0.0
     disk_error: float = 0.0
-    only_first_attempt: bool = False
 
     def __post_init__(self) -> None:
         for site in FAULT_SITES:
@@ -87,43 +62,20 @@ class FaultPlan:
 
     # -- decisions -----------------------------------------------------------
 
-    def should(
-        self, site: str, *, index: int = 0, attempt: int = 0, token: str = ""
-    ) -> bool:
+    def should(self, site: str, *, token: str = "") -> bool:
         """Deterministically decide whether to inject ``site`` here.
 
-        ``index``/``attempt`` identify a task execution; ``token`` is a
-        free-form discriminator (e.g. a cache key).  The decision is a
-        pure function of the plan seed and these coordinates.
+        ``token`` is a free-form discriminator (the cache key); the
+        decision is a pure function of the plan seed, the site and it.
         """
         rate = float(getattr(self, site))
         if rate <= 0.0:
             return False
-        if self.only_first_attempt and attempt > 0:
-            return False
         if rate >= 1.0:
             return True
-        digest = hashlib.sha256(
-            f"{self.seed}|{site}|{index}|{attempt}|{token}".encode()
-        ).digest()
+        digest = hashlib.sha256(f"{self.seed}|{site}|{token}".encode()).digest()
         u = int.from_bytes(digest[:8], "big") / 2.0**64
         return u < rate
-
-    # -- serialization -------------------------------------------------------
-
-    def describe(self) -> str:
-        """The plan in ``REPRO_FAULTS`` syntax (round-trips via parse)."""
-        parts = [f"seed={self.seed}"]
-        for f in fields(self):
-            if f.name == "seed":
-                continue
-            val = getattr(self, f.name)
-            if f.name == "only_first_attempt":
-                if val:
-                    parts.append("only_first_attempt=1")
-            elif val != f.default:
-                parts.append(f"{f.name}={val:g}")
-        return ",".join(parts)
 
 
 def parse_fault_plan(text: str) -> FaultPlan:
@@ -149,12 +101,7 @@ def parse_fault_plan(text: str) -> FaultPlan:
                 f"unknown fault plan key {key!r}; valid keys: {sorted(valid)}"
             )
         try:
-            if key == "seed":
-                kwargs[key] = int(raw)
-            elif key == "only_first_attempt":
-                kwargs[key] = raw.lower() in ("1", "true", "yes", "on")
-            else:
-                kwargs[key] = float(raw)
+            kwargs[key] = int(raw) if key == "seed" else float(raw)
         except ValueError:
             raise ValueError(
                 f"fault plan value {raw!r} for {key!r} is not numeric"
@@ -204,24 +151,7 @@ def active_fault_plan() -> FaultPlan | None:
     return fault_plan_from_env()
 
 
-def faults_active() -> bool:
-    """Whether any fault plan is currently in force."""
-    return active_fault_plan() is not None
-
-
 def record_injection(site: str) -> None:
     """Count one injected fault under its ``faults.*`` metric."""
     # Names stay greppable: every value of _SITE_COUNTERS is a literal.
     metrics.inc(_SITE_COUNTERS[site])  # repro: noqa[RPR301]
-
-
-def apply_task_faults(plan: FaultPlan, index: int, attempt: int) -> None:
-    """Run the task-level injection site for one task execution.
-
-    Called by the executor before the real work.
-    """
-    if plan.should("task_error", index=index, attempt=attempt):
-        record_injection("task_error")
-        raise InjectedTaskError(
-            f"injected task error (task {index}, attempt {attempt})"
-        )

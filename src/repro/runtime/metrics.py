@@ -215,20 +215,6 @@ class MetricsRegistry:
                 },
             }
 
-    def counters_with_prefix(self, prefix: str) -> dict[str, int]:
-        """All counters under a dotted namespace, e.g. ``"executor"``.
-
-        The failure report and the chaos CLI use this to pull one
-        subsystem's counters (``executor.retry``, ``faults.*``, …)
-        without enumerating names at every call site.
-        """
-        dotted = prefix if prefix.endswith(".") else prefix + "."
-        with self._lock:
-            return {
-                k: v for k, v in sorted(self.counters.items())
-                if k.startswith(dotted)
-            }
-
     def cache_stats(self, prefix: str = "cache") -> dict[str, int | float]:
         """Hit/miss/rate view over the ``{prefix}.hit``/``.miss`` counters."""
         hits = self.get(f"{prefix}.hit")

@@ -69,7 +69,7 @@ from repro.service.admission import (
     NO_DEADLINE,
 )
 from repro.service.broker import BrokerClosed, NmfJob, RequestBroker
-from repro.service.state import ServiceError, ServiceState
+from repro.service.state import DEGRADE_FLOOR_S, ServiceError, ServiceState
 
 _MAX_BODY = 8 * 1024 * 1024
 
@@ -115,7 +115,16 @@ class _Handler(BaseHTTPRequestHandler):
         if not is_post:
             query = urlsplit(self.path).query
             return dict(parse_qsl(query))
-        length = int(self.headers.get("Content-Length") or 0)
+        raw_length = self.headers.get("Content-Length") or "0"
+        try:
+            length = int(raw_length)
+        except ValueError:
+            length = -1
+        if length < 0:
+            # Where the body ends is unknown, so the connection cannot
+            # carry another request.
+            self.close_connection = True
+            raise ServiceError(400, f"invalid Content-Length: {raw_length!r}")
         if length > _MAX_BODY:
             raise ServiceError(413, f"body too large ({length} bytes)")
         raw = self.rfile.read(length) if length else b""
@@ -210,7 +219,7 @@ class _Handler(BaseHTTPRequestHandler):
                 self.send_header(
                     "Retry-After", str(max(1, math.ceil(retry_after)))
                 )
-            if service.draining:
+            if service.draining or self.close_connection:
                 self.send_header("Connection", "close")
                 self.close_connection = True
             self.end_headers()
@@ -398,7 +407,7 @@ class ReproService:
         """Submit an NMF job with the degrade ladder around it.
 
         Decision order: if the lane breaker is open or the remaining
-        budget is below ``degrade_floor_s`` (too tight for any cold
+        budget is below ``DEGRADE_FLOOR_S`` (too tight for any cold
         fit), try the cached-factorization path first; a live submit
         that fails fast on the breaker falls back to it too; a live
         wait that times out tries it before giving up with 504.
@@ -410,7 +419,7 @@ class ReproService:
         remaining = deadline.remaining()
         if breaker.is_open() or (
             remaining is not None
-            and remaining < state.config.degrade_floor_s
+            and remaining < DEGRADE_FLOOR_S
         ):
             doc = state.degraded_nmf(job)
             if doc is not None:

@@ -54,6 +54,23 @@ from repro.runtime.sanitize import make_lock
 from repro.service.broker import NmfJob, SearchJob
 
 
+#: NMF rank and restart count when a request names none.
+DEFAULT_K = 4
+DEFAULT_RESTARTS = 4
+#: Largest rank and restart count one request may ask for.  Every restart's
+#: W0/H0 is drawn in the handler thread before dispatch, and a dispatched
+#: kernel runs to completion past its deadline, so both bound the work and
+#: memory a single request can claim.
+MAX_K = 16
+MAX_RESTARTS = 16
+#: Hits per query when a request sets no ``limit``.
+DEFAULT_LIMIT = 10
+#: Deadline remainder (seconds) below which a cold NMF fit is not
+#: attempted; a cached factorization is served degraded instead, if one
+#: exists.
+DEGRADE_FLOOR_S = 0.05
+
+
 class ServiceError(Exception):
     """Request-level failure carrying an HTTP status code."""
 
@@ -82,20 +99,15 @@ class ServiceConfig:
     503); ``default_deadline_s`` is the per-request budget when the
     client sends no ``deadline_ms`` (``None`` = unbounded);
     ``breaker_threshold`` / ``breaker_recovery_s`` configure the lane
-    circuit breakers; ``degrade_floor_s`` is the deadline remainder
-    below which a cold NMF fit is not attempted (a cached factorization
-    is served degraded instead, if one exists).  ``chaos_ops=True``
-    enables the ``POST /chaos`` fault-injection endpoint (load tests
-    only — never expose it on a real deployment).
+    circuit breakers.  ``chaos_ops=True`` enables the ``POST /chaos``
+    fault-injection endpoint (load tests only — never expose it on a
+    real deployment).
     """
 
     n_shards: int = 4
     resident: bool = False
     coalesce: bool = True
     max_batch: int = 32
-    default_k: int = 4
-    default_restarts: int = 4
-    default_limit: int = 10
     max_inflight_cheap: int = 64
     max_queue_cheap: int = 128
     max_inflight_heavy: int = 8
@@ -103,7 +115,6 @@ class ServiceConfig:
     default_deadline_s: float | None = 30.0
     breaker_threshold: int = 5
     breaker_recovery_s: float = 2.0
-    degrade_floor_s: float = 0.05
     chaos_ops: bool = False
 
     def __post_init__(self) -> None:
@@ -119,17 +130,22 @@ class ServiceConfig:
 
 
 def _params_int(
-    params: Mapping, name: str, default: int | None, *, lo: int | None = None
-) -> int | None:
+    params: Mapping,
+    name: str,
+    default: int,
+    *,
+    lo: int | None = None,
+    hi: int | None = None,
+) -> int:
     raw = params.get(name, default)
-    if raw is None:
-        return None
     try:
         value = int(raw)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ServiceError(400, f"{name} must be an integer, got {raw!r}") from None
     if lo is not None and value < lo:
         raise ServiceError(400, f"{name} must be >= {lo}, got {value}")
+    if hi is not None and value > hi:
+        raise ServiceError(400, f"{name} must be <= {hi}, got {value}")
     return value
 
 
@@ -166,7 +182,9 @@ def parse_query(doc: Any) -> SearchQuery:
     if unknown:
         raise ServiceError(400, f"unknown query fields: {sorted(unknown)}")
     tags = doc.get("tags", ())
-    if isinstance(tags, str) or not all(isinstance(t, str) for t in tags):
+    if not isinstance(tags, (list, tuple)) or not all(
+        isinstance(t, str) for t in tags
+    ):
         raise ServiceError(400, "tags must be a list of strings")
     kwargs: dict[str, Any] = {"tags": frozenset(tags)}
     for name in ("text", "author", "course_level", "language", "dataset"):
@@ -265,10 +283,10 @@ class ServiceState:
         return course
 
     def _nmf_params(self, params: Mapping) -> tuple[int, int, int, str | None]:
-        k = _params_int(params, "k", self.config.default_k, lo=1)
-        seed = _params_int(params, "seed", 0)
+        k = _params_int(params, "k", DEFAULT_K, lo=1, hi=MAX_K)
+        seed = _params_int(params, "seed", 0, lo=0)
         n_restarts = _params_int(
-            params, "n_restarts", self.config.default_restarts, lo=1
+            params, "n_restarts", DEFAULT_RESTARTS, lo=1, hi=MAX_RESTARTS
         )
         label = params.get("label")
         return k, seed, n_restarts, (str(label) if label is not None else None)
@@ -316,7 +334,7 @@ class ServiceState:
         material_id = params.get("material_id")
         if not material_id:
             raise ServiceError(400, "material_id is required")
-        limit = _params_int(params, "limit", self.config.default_limit, lo=1)
+        limit = _params_int(params, "limit", DEFAULT_LIMIT, lo=1)
         try:
             hits = self.repo.find_similar(str(material_id), limit=limit)
         except KeyError:
@@ -335,7 +353,7 @@ class ServiceState:
         if not isinstance(raw, list) or not raw:
             raise ServiceError(400, "queries must be a non-empty list")
         queries = [parse_query(doc) for doc in raw]
-        limit = _params_int(params, "limit", self.config.default_limit, lo=1)
+        limit = _params_int(params, "limit", DEFAULT_LIMIT, lo=1)
 
         def finish(per_query: Sequence[list]) -> dict:
             return {
@@ -427,7 +445,7 @@ class ServiceState:
         top = _params_int(params, "top", 5, lo=1)
         explicit = params.get("flavors")
         if explicit is not None:
-            if isinstance(explicit, str) or not all(
+            if not isinstance(explicit, list) or not all(
                 isinstance(f, str) for f in explicit
             ):
                 raise ServiceError(400, "flavors must be a list of strings")

@@ -346,18 +346,3 @@ class TestSearchCli:
         with pytest.raises(SystemExit, match="no material"):
             main(["similar", str(corpus_file), "--material-id", "nope"])
 
-
-class TestFaultsCli:
-    def test_default_plan_recovers_bit_identically(self, capsys):
-        assert main(["faults"]) == 0
-        out = capsys.readouterr().out
-        injected = re.search(r"(\d+) injected task error", out)
-        assert injected and int(injected.group(1)) > 0
-        assert "byte-identical to fault-free run: yes" in out
-
-    def test_plan_that_injects_nothing_fails(self, capsys):
-        """A plan that injects no fault proves no recovery: exit 1."""
-        assert main(["faults", "--plan", "seed=7"]) == 1
-        out = capsys.readouterr().out
-        assert " 0 injected task error(s)" in out
-        assert "byte-identical to fault-free run: yes" in out

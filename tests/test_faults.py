@@ -1,13 +1,12 @@
-"""Fault-injection and recovery tests for the fault-tolerant runtime.
+"""Fault-injection and recovery tests for the result cache.
 
 The recovery matrix, exercised through the deterministic harness in
 :mod:`repro.runtime.faults`:
 
-* task bugs propagate as :class:`TaskError` immediately — no retry;
-* injected transient failures recover bit-identically with retries on,
-  and surface as :class:`TaskError` (original exception preserved) with
-  retries off;
-* corrupt cache entries are quarantined, recomputed, and counted.
+* fault plans parse strictly, and their decisions are reproducible;
+* corrupt cache entries are quarantined, recomputed, and counted;
+* failed cache writes are counted and skipped;
+* every recovery lands in the process-global :class:`FailureReport`.
 """
 
 import numpy as np
@@ -16,17 +15,9 @@ import pytest
 import repro.runtime as runtime
 from repro.factorization.nmf import nmf_restart_specs
 from repro.runtime.cache import ResultCache
-from repro.runtime.executor import (
-    TaskError,
-    failure_report,
-    parallel_map,
-    run_nmf_fits,
-    set_default_task_retries,
-)
+from repro.runtime.executor import failure_report, run_nmf_fits
 from repro.runtime.faults import (
     FaultPlan,
-    InjectedTaskError,
-    TransientTaskError,
     active_fault_plan,
     fault_plan_from_env,
     parse_fault_plan,
@@ -38,28 +29,11 @@ from repro.runtime.faults import (
 def _isolated_runtime(monkeypatch):
     """Fresh metrics/cache/report and a disarmed fault plan per test."""
     monkeypatch.delenv("REPRO_FAULTS", raising=False)
-    monkeypatch.delenv("REPRO_TASK_RETRIES", raising=False)
     runtime.reset()
     set_fault_plan(None)
-    set_default_task_retries(None)
     yield
     runtime.reset()
     set_fault_plan(None)
-    set_default_task_retries(None)
-
-
-def _double(x):
-    return x * 2
-
-
-def _boom(x):
-    raise ValueError(f"bad input {x}")
-
-
-def _boom_negative(x):
-    if x < 0:
-        raise ValueError(f"bad input {x}")
-    return x
 
 
 # -- plan parsing and decisions ----------------------------------------------
@@ -67,46 +41,44 @@ def _boom_negative(x):
 
 class TestFaultPlan:
     def test_parse_round_trip(self):
-        plan = parse_fault_plan(
-            "seed=7,task_error=0.1,cache_corrupt=0.05,only_first_attempt=1"
-        )
+        plan = parse_fault_plan("seed=7,cache_corrupt=0.05,disk_error=0.1")
         assert plan.seed == 7
-        assert plan.task_error == 0.1
-        assert plan.only_first_attempt is True
-        assert parse_fault_plan(plan.describe()) == plan
+        assert plan.cache_corrupt == 0.05
+        assert plan.disk_error == 0.1
+        assert plan == FaultPlan(seed=7, cache_corrupt=0.05, disk_error=0.1)
 
     def test_unknown_key_rejected(self):
         # A stale chaos plan naming a deleted site fails loudly too.
-        for text in ("seed=1,typo_rate=0.5", "seed=1,pool_crash=0.1"):
+        for text in (
+            "seed=1,typo_rate=0.5",
+            "seed=1,pool_crash=0.1",
+            "seed=1,task_error=0.1",
+            "seed=1,only_first_attempt=1",
+        ):
             with pytest.raises(ValueError, match="unknown fault plan key"):
                 parse_fault_plan(text)
 
     def test_bad_value_rejected(self):
         with pytest.raises(ValueError, match="not numeric"):
-            parse_fault_plan("task_error=lots")
+            parse_fault_plan("cache_corrupt=lots")
 
     def test_rate_bounds_validated(self):
         with pytest.raises(ValueError, match="rate must be in"):
-            FaultPlan(task_error=1.5)
+            FaultPlan(disk_error=1.5)
 
     def test_decisions_are_deterministic(self):
-        plan = FaultPlan(seed=3, task_error=0.5)
+        plan = FaultPlan(seed=3, cache_corrupt=0.5)
         decisions = [
-            plan.should("task_error", index=i, attempt=0) for i in range(64)
+            plan.should("cache_corrupt", token=f"key{i}") for i in range(64)
         ]
         again = [
-            plan.should("task_error", index=i, attempt=0) for i in range(64)
+            plan.should("cache_corrupt", token=f"key{i}") for i in range(64)
         ]
         assert decisions == again
         assert any(decisions) and not all(decisions)  # rate 0.5 mixes
 
-    def test_only_first_attempt_gates_retries(self):
-        plan = FaultPlan(seed=0, task_error=1.0, only_first_attempt=True)
-        assert plan.should("task_error", index=5, attempt=0)
-        assert not plan.should("task_error", index=5, attempt=1)
-
     def test_env_activation_and_precedence(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FAULTS", "seed=9,task_error=0.2")
+        monkeypatch.setenv("REPRO_FAULTS", "seed=9,disk_error=0.2")
         env_plan = fault_plan_from_env()
         assert env_plan is not None and env_plan.seed == 9
         assert active_fault_plan() == env_plan
@@ -115,82 +87,44 @@ class TestFaultPlan:
         assert active_fault_plan() == configured  # configure() wins
 
     def test_malformed_env_raises(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FAULTS", "task_error=not-a-rate")
+        monkeypatch.setenv("REPRO_FAULTS", "cache_corrupt=not-a-rate")
         with pytest.raises(ValueError):
             fault_plan_from_env()
-
-
-# -- task bugs: never retried, never masked ----------------------------------
-
-
-class TestTaskBugs:
-    def test_serial_task_bug_raises_task_error(self):
-        with pytest.raises(TaskError) as exc_info:
-            parallel_map(_boom, [1], retries=2)
-        err = exc_info.value
-        assert err.index == 0
-        assert isinstance(err.original, ValueError)
-        assert "bad input" in str(err.original)
-        assert "ValueError" in err.original_traceback
-        # A task bug is not transient: nothing retried.
-        assert runtime.metrics.get("executor.retry") == 0
-        assert runtime.metrics.get("executor.task_error") == 1
-
-    def test_first_failing_index_reported(self):
-        with pytest.raises(TaskError) as exc_info:
-            parallel_map(_boom_negative, [1, 2, -3, -4])
-        assert exc_info.value.index == 2  # tasks run in order
-
-
-# -- injected faults: recovery matrix ----------------------------------------
-
-
-class TestInjectedTaskErrors:
-    PLAN = "seed=3,task_error=0.5,only_first_attempt=1"
-
-    def test_retries_recover_bit_identically(self):
-        clean = parallel_map(_double, list(range(12)))
-        set_fault_plan(self.PLAN)
-        faulty = parallel_map(_double, list(range(12)), retries=2)
-        assert faulty == clean
-        assert runtime.metrics.get("executor.retry") > 0
-
-    def test_retries_disabled_surfaces_task_error(self):
-        set_fault_plan(self.PLAN)
-        with pytest.raises(TaskError) as exc_info:
-            parallel_map(_double, list(range(12)), retries=0)
-        assert isinstance(exc_info.value.original, InjectedTaskError)
-        assert isinstance(exc_info.value.original, TransientTaskError)
-
-    def test_serial_path_retries_too(self):
-        """The default budget (2) covers a first-attempt fault."""
-        set_fault_plan(self.PLAN)
-        out = parallel_map(_double, list(range(12)))
-        assert out == [x * 2 for x in range(12)]
-        assert runtime.metrics.get("executor.retry") > 0
 
 
 # -- failure report ----------------------------------------------------------
 
 
-class TestFailureReport:
-    def test_report_accumulates_and_serializes(self):
-        set_fault_plan("seed=3,task_error=0.5,only_first_attempt=1")
-        parallel_map(_double, list(range(12)), retries=2)
-        report = failure_report()
-        assert report and len(report) == report.to_dict()["n_events"]
-        data = report.to_dict()
-        assert data["counts"].get("retry", 0) >= 1
-        assert all(e["kind"] for e in data["events"])
-        assert "retry" in report.to_json()
+def _quarantine_one(tmp_path):
+    """Read back a cache entry without metadata: it is quarantined."""
+    np.savez(tmp_path / "old.npz", x=np.ones(3))
+    assert ResultCache(cache_dir=tmp_path).get("old") is None
 
-    def test_summary_includes_failures(self):
-        set_fault_plan("seed=3,task_error=0.5,only_first_attempt=1")
-        parallel_map(_double, list(range(12)), retries=2)
+
+class TestFailureReport:
+    def test_report_accumulates_and_serializes(self, tmp_path):
+        failure_report().add(
+            "breaker_open", error=RuntimeError("lane down"), detail="forced"
+        )
+        _quarantine_one(tmp_path)
+        report = failure_report()
+        assert report and len(report) == report.to_dict()["n_events"] == 2
+        data = report.to_dict()
+        assert data["counts"] == {"breaker_open": 1, "cache_quarantined": 1}
+        assert data["events"][0] == {
+            "kind": "breaker_open",
+            "error": "RuntimeError('lane down')",
+            "detail": "forced",
+        }
+        assert "old.npz" in data["events"][1]["detail"]
+        assert "cache_quarantined" in report.to_json()
+
+    def test_summary_includes_failures(self, tmp_path):
+        _quarantine_one(tmp_path)
         assert "event(s)" in runtime.summary()
 
     def test_reset_clears_report(self):
-        failure_report().add("retry", task_index=0)
+        failure_report().add("cache_quarantined")
         runtime.reset()
         assert not failure_report()
 

@@ -1,10 +1,10 @@
 """Tests for the incremental analysis DAG (:mod:`repro.pipeline`).
 
-Covers the engine (content keys, wave execution, taskgraph export), the
-report DAG's bit-identity with the straight-line path, invalidation
-granularity under corpus edits (add / remove / tag-preserving update /
-newly covered tag), early cutoff, the input digests the keys rest on,
-and chaos runs under ``REPRO_FAULTS``.
+Covers the engine (content keys, registration-order execution,
+taskgraph export), the report DAG's bit-identity with the straight-line
+path, invalidation granularity under corpus edits (add / remove /
+tag-preserving update / newly covered tag), early cutoff, and the input
+digests the keys rest on.
 """
 
 import dataclasses
@@ -71,6 +71,11 @@ def _double(dep_values):
     return 2 * v
 
 
+def _divide_by_zero(dep_values):
+    (v,) = dep_values.values()
+    return v / 0
+
+
 # -- engine ------------------------------------------------------------------
 
 
@@ -89,6 +94,25 @@ class TestPipelineEngine:
         run = self._diamond().run(use_cache=False)
         assert run.value("d") == 4
         assert run.n_computed == 4 and run.n_hits == 0
+
+    def test_runs_in_registration_order(self):
+        from functools import partial
+
+        p = Pipeline()
+        p.add("z", partial(_const, 1))
+        p.add("a", partial(_const, 2))
+        p.add("m", _add, deps=("z", "a"))
+        assert p.run(use_cache=False).order == ("z", "a", "m")
+
+    def test_node_exception_propagates_unchanged(self):
+        """A failing node raises its own exception, not a wrapper."""
+        from functools import partial
+
+        p = Pipeline()
+        p.add("a", partial(_const, 1))
+        p.add("boom", _divide_by_zero, deps=("a",))
+        with pytest.raises(ZeroDivisionError):
+            p.run(use_cache=False)
 
     def test_duplicate_name_rejected(self):
         p = Pipeline()
@@ -523,27 +547,3 @@ class TestInputDigests:
             )
             assert out.stdout.split() == expected, seed
 
-
-class TestChaosPipeline:
-    def test_faulty_run_bit_identical_and_cache_clean(
-        self, dataset, tmp_path, monkeypatch
-    ):
-        """Node retries under an injected fault plan must neither change
-        the report nor poison the memoized node values."""
-        tree, courses, _ = dataset
-        courses = list(courses)[:8]
-        cache = ResultCache(cache_dir=tmp_path)
-        expected = build_report_direct(courses, tree)
-
-        monkeypatch.setenv(
-            "REPRO_FAULTS", "seed=3,task_error=0.4,only_first_attempt=1"
-        )
-        chaotic = build_report_pipeline(courses, tree).run(cache=cache)
-        assert metrics.get("executor.retry") > 0, "plan never fired"
-        assert chaotic.value("report") == expected
-
-        # Disarm and replay purely from the memoized values.
-        monkeypatch.delenv("REPRO_FAULTS")
-        warm = build_report_pipeline(courses, tree).run(cache=cache)
-        assert warm.n_computed == 0
-        assert warm.value("report") == expected

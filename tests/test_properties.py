@@ -3,8 +3,8 @@
 These pin the *invariants* the pipeline relies on, independent of any
 particular dataset: generation determinism, matrix/agreement consistency,
 the rewritten matrix and agreement fills against their reference loops,
-factorization monotonicity, hit-tree conservation laws, recommendation
-monotonicity, and schedule feasibility.
+factorization monotonicity (in ``k`` and per solver iteration), hit-tree
+conservation laws, recommendation monotonicity, and schedule feasibility.
 """
 
 import numpy as np
@@ -17,6 +17,7 @@ from repro.anchors.modules import MODULE_CATALOG
 from repro.anchors.recommender import recommend_for_course
 from repro.corpus.generator import sample_course_tags
 from repro.curriculum import load_cs2013
+from repro.factorization.kernels import batched_nmf_fits
 from repro.factorization.nmf import NMF
 from repro.materials.course import Course, CourseLabel
 from repro.materials.hittree import build_hit_tree
@@ -224,6 +225,61 @@ class TestNMFProperties:
             m.fit_transform(a)
             errs.append(m.reconstruction_err_)
         assert errs[0] >= errs[1] - 1e-8 >= errs[2] - 2e-8
+
+
+def _nonneg_matrix(rng, n, m, kind):
+    """A random non-negative ``n x m`` matrix of the given ``kind``."""
+    if kind == "low-rank":  # exactly factorizable at rank 2
+        return rng.random((n, 2)) @ rng.random((2, m))
+    a = rng.random((n, m))
+    if kind == "sparse":
+        a[rng.random((n, m)) < 0.6] = 0.0
+    return a
+
+
+class TestNMFObjectiveMonotone:
+    """One more solver iteration never raises the objective.
+
+    Each run starts from the same custom ``W0``/``H0`` with ``tol=0``, so
+    the fit at ``max_iter=t+1`` is the fit at ``max_iter=t`` plus one
+    step.  The absolute term of the tolerance admits rounding noise on
+    objectives near zero (an exactly factorizable matrix).
+    """
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        n=st.integers(2, 12),
+        m=st.integers(2, 16),
+        k=st.integers(1, 4),
+        solver_loss=st.sampled_from([
+            ("mu", "frobenius"), ("mu", "kullback-leibler"),
+            ("hals", "frobenius"),
+        ]),
+        kind=st.sampled_from(["dense", "sparse", "low-rank"]),
+        seed=st.integers(0, 2**32 - 1),
+        t_max=st.integers(1, 25),
+    )
+    def test_objective_never_increases(
+        self, n, m, k, solver_loss, kind, seed, t_max
+    ):
+        solver, loss = solver_loss
+        rng = np.random.default_rng(seed)
+        a = _nonneg_matrix(rng, n, m, kind)
+        spec = {
+            "n_components": k, "solver": solver, "loss": loss,
+            "init": "custom", "tol": 0.0,
+            "W0": rng.random((n, k)) + 0.1, "H0": rng.random((k, m)) + 0.1,
+        }
+        bundles = batched_nmf_fits(
+            a, [dict(spec, max_iter=t) for t in range(1, t_max + 2)]
+        )
+        errs = [float(b["err"]) for b in bundles]
+        atol = 1e-12 * np.linalg.norm(a)
+        for t, (before, after) in enumerate(zip(errs, errs[1:]), start=1):
+            assert after <= before + 1e-12 * abs(before) + atol, (
+                f"objective rose from max_iter={t} to {t + 1}: "
+                f"{before!r} -> {after!r}"
+            )
 
 
 class TestScheduleProperties:

@@ -287,13 +287,13 @@ class TestRPR503BlockingUnderLock:
         result = lint_sources(tmp_path, {"mod.py": """\
             import threading
 
-            from repro.runtime.executor import parallel_map
+            from repro.runtime.executor import run_nmf_fits
 
             _lock = threading.Lock()
 
-            def run(items):
+            def run(a, specs):
                 with _lock:
-                    return parallel_map(str, items)
+                    return run_nmf_fits(a, specs)
             """}, select=["RPR503"])
         assert codes(result) == ["RPR503"]
 

@@ -10,15 +10,13 @@ Three invariants matter:
 3. **Metrics accounting** — counters and timers reflect what actually ran.
 """
 
-import os
-
 import numpy as np
 import pytest
 
 import repro.runtime as runtime
 from repro.factorization.nmf import nmf_restart_specs
 from repro.runtime.cache import ResultCache, array_digest, content_key
-from repro.runtime.executor import parallel_map, run_nmf_fits
+from repro.runtime.executor import run_nmf_fits
 from repro.runtime.metrics import MetricsRegistry
 
 
@@ -34,62 +32,6 @@ def _isolated_runtime():
     runtime.reset()
     yield
     runtime.reset()
-
-
-# -- one execution mode ------------------------------------------------------
-
-
-def _pid(_):
-    return os.getpid()
-
-
-class TestResolveWorkers:
-    """There is no worker count: every batch runs in the calling process."""
-
-    def test_default_is_serial(self):
-        assert parallel_map(_pid, range(4)) == [os.getpid()] * 4
-
-    def test_env_garbage_ignored(self, monkeypatch):
-        """A stale ``REPRO_WORKERS`` from an older deployment is not read."""
-        for value in ("5", "auto", "lots"):
-            monkeypatch.setenv("REPRO_WORKERS", value)
-            assert parallel_map(_pid, range(4)) == [os.getpid()] * 4
-
-
-# -- parallel map ------------------------------------------------------------
-
-
-def _square(x):
-    return x * x
-
-
-class TestParallelMap:
-    def test_preserves_order(self):
-        assert parallel_map(_square, range(10)) == [x * x for x in range(10)]
-
-    def test_parallel_matches_serial(self):
-        """``parallel_map`` is the plain loop: each task once, in order."""
-        calls = []
-
-        def task(x):
-            calls.append(x)
-            return _square(x)
-
-        items = list(range(20))
-        assert parallel_map(task, items) == [_square(x) for x in items]
-        assert calls == items
-
-    def test_unpicklable_falls_back_to_serial(self):
-        """Lambdas, closures and bound methods are valid tasks: nothing
-        is pickled, so a closure's side effects reach the caller."""
-        seen = []
-        items = list(range(6))
-        assert parallel_map(lambda x: x + 1, items) == [x + 1 for x in items]
-        parallel_map(seen.append, items)
-        assert seen == items
-
-    def test_empty(self):
-        assert parallel_map(_square, []) == []
 
 
 # -- determinism -------------------------------------------------------------
@@ -285,8 +227,6 @@ class TestConfigure:
             runtime.configure(cache_dir=None, cache_enabled=True)
 
     def test_bad_values_rejected(self):
-        with pytest.raises(ValueError):
-            runtime.configure(task_retries=-1)
         with pytest.raises(ValueError):
             ResultCache(max_entries=0)
 

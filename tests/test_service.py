@@ -592,6 +592,17 @@ class TestHttpSurface:
             ("/search", {"queries": [{"tags": "oops"}]}, 400, "list of strings"),
             ("/search", {"queries": [{"nope": 1}]}, 400, "unknown query fields"),
             ("/anchors", {"course_id": "ghost"}, 404, "no course"),
+            ("/search", {"queries": [{"tags": 5}]}, 400, "list of strings"),
+            ("/search", {"queries": [{"tags": None}]}, 400, "list of strings"),
+            ("/typing", {"seed": -1}, 400, "seed must be >= 0"),
+            ("/typing", {"k": None}, 400, "k must be an integer"),
+            (
+                "/anchors", {"course_id": "uncc-2214-krs", "flavors": 5},
+                400, "flavors must be a list of strings",
+            ),
+            ("/typing", {"k": 17}, 400, "k must be <= 16"),
+            ("/typing", {"n_restarts": 17}, 400, "n_restarts must be <= 16"),
+            ("/typing", {"k": float("inf")}, 400, "k must be an integer"),
         ],
     )
     def test_request_errors(self, client, path, body, status, fragment):
@@ -615,6 +626,27 @@ class TestHttpSurface:
             assert "invalid JSON body" in doc["error"]
         finally:
             conn.close()
+
+    @pytest.mark.parametrize("length", ["abc", "-5"])
+    def test_invalid_content_length_is_400(self, service, length):
+        """A Content-Length the server cannot parse closes the connection
+        after a 400, since the body's end is unknown."""
+        import socket
+
+        request = (
+            f"POST /typing HTTP/1.1\r\nHost: test\r\n"
+            f"Content-Type: application/json\r\n"
+            f"Content-Length: {length}\r\n\r\n{{}}"
+        ).encode()
+        with socket.create_connection(service.address, timeout=30) as sock:
+            sock.sendall(request)
+            raw = b""
+            while chunk := sock.recv(65536):
+                raw += chunk
+        head, _, body = raw.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400 "), head
+        assert b"Connection: close" in head
+        assert "invalid Content-Length" in json.loads(body)["error"]
 
     def test_latency_histograms_recorded(self, service, client):
         client.get("/healthz")

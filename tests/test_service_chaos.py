@@ -1,18 +1,15 @@
-"""Chaos + lock-sanitizer integration for the service stack.
+"""Concurrent serving under the lock sanitizer.
 
-The claim is cross-cutting: a broker-fronted service under injected
-task errors must (a) keep serving bit-identical results, and (b) do so
-without a single lock-order inversion observed by the runtime
-sanitizer.  The static RPR5xx rules prove the ordering discipline about
-the code; this test checks the same property on the live system while
-the fault injector forces the retry path that a quiet run never takes.
+The claim is cross-cutting: a broker-fronted service under concurrent
+load must (a) keep serving bit-identical results, and (b) do so without
+a single lock-order inversion observed by the runtime sanitizer.  The
+static RPR5xx rules prove the ordering discipline about the code; this
+test checks the same property on the live system.
 
-Faults land where the service runs tasks through
-:func:`repro.runtime.parallel_map`: the shard fan-out behind
-``/search`` and ``/similar``, which runs serially in the server
-process.  ``/typing`` rides along for the broker's NMF lane, which
-never enters ``parallel_map``.  The only task fault site is
-``task_error``: an injected error is retried in place.
+``/search`` and ``/similar`` run the shard fan-out in the server
+process; ``/typing`` rides along for the broker's NMF lane.  Each
+document is compared with its direct twin, computed without the
+service.
 """
 
 from __future__ import annotations
@@ -25,8 +22,6 @@ import pytest
 import repro.runtime as runtime
 from repro.analysis import type_courses
 from repro.runtime import sanitize
-from repro.runtime.faults import set_fault_plan
-from repro.runtime.metrics import metrics
 from repro.service import (
     ReproService,
     ServiceClient,
@@ -40,20 +35,16 @@ def _json_roundtrip(doc):
 
 
 @pytest.fixture
-def chaos_sanitized(monkeypatch):
-    """Sanitizer armed, fault plan injected, everything restored after.
+def sanitized():
+    """Sanitizer armed, everything restored after.
 
     The sanitizer must be enabled *before* the service stack is built:
-    instrumentation is decided at lock creation.  The fault plan uses
-    ``only_first_attempt`` so every injected failure is recoverable and
-    the run still has a deterministic right answer.
+    instrumentation is decided at lock creation.
     """
-    monkeypatch.delenv("REPRO_FAULTS", raising=False)
     runtime.reset()
     sanitize.set_sanitize("locks")
     sanitize.reset()
     yield
-    set_fault_plan(None)
     sanitize.set_sanitize(None)
     sanitize.reset()
     runtime.reset()
@@ -61,7 +52,7 @@ def chaos_sanitized(monkeypatch):
 
 class TestServiceChaosWithSanitizer:
     def test_crashy_service_bit_identical_and_inversion_free(
-        self, dataset, chaos_sanitized
+        self, dataset, sanitized
     ):
         tree, courses, _ = dataset
         seeds = list(range(6))
@@ -80,7 +71,7 @@ class TestServiceChaosWithSanitizer:
             + [("/similar", {"material_id": m}) for m in material_ids]
         )
 
-        # Fault-free twins, computed before the plan is armed.
+        # Direct twins, computed without the service.
         typings = {
             seed: type_courses(state.matrix, 4, seed=seed, n_restarts=2)
             for seed in seeds
@@ -100,8 +91,6 @@ class TestServiceChaosWithSanitizer:
             if path != "/typing"
         }
 
-        # Every fan-out task fails its first attempt; one retry clears it.
-        set_fault_plan("seed=7,task_error=1.0,only_first_attempt=1")
         with ReproService(state) as svc:
             host, port = svc.address
 
@@ -113,8 +102,6 @@ class TestServiceChaosWithSanitizer:
                 first = list(pool.map(fetch, requests))
                 second = list(pool.map(fetch, requests))
 
-        assert metrics.get("faults.task_error") > 0
-        assert metrics.get("executor.retry") > 0
         for i, ((path, body), (status, doc)) in enumerate(zip(requests, first)):
             assert status == 200, (path, doc)
             if path == "/typing":
@@ -123,7 +110,7 @@ class TestServiceChaosWithSanitizer:
                 assert doc["w"] == _json_roundtrip(direct.w.tolist())
             else:
                 assert doc == expected[i], path
-        # Run-to-run identity under live fault injection.
+        # Run-to-run identity under concurrent load.
         assert [doc for _, doc in first] == [doc for _, doc in second]
 
         san = sanitize.sanitizer()
@@ -135,7 +122,7 @@ class TestServiceChaosWithSanitizer:
         assert san.counters().get("sanitizer.acquisitions", 0) > 0
 
     def test_sanitizer_section_in_service_metrics(
-        self, dataset, chaos_sanitized
+        self, dataset, sanitized
     ):
         tree, courses, _ = dataset
         state = ServiceState(
