@@ -500,9 +500,6 @@ def _service_state(args):
         default_deadline_s=(
             args.deadline_ms / 1000.0 if args.deadline_ms else None
         ),
-        breaker_threshold=args.breaker_threshold,
-        breaker_recovery_s=args.breaker_recovery,
-        chaos_ops=args.chaos_ops,
     )
     if args.state_dir and has_state(args.state_dir):
         repo, load_report = load_repository(args.state_dir)
@@ -554,8 +551,7 @@ def cmd_serve(args) -> int:
         print(
             f"  shards={state.repo.n_shards} "
             f"coalesce={'on' if state.config.coalesce else 'off'} "
-            f"deadline={args.deadline_ms:.0f}ms "
-            f"chaos_ops={'on' if state.config.chaos_ops else 'off'}",
+            f"deadline={args.deadline_ms:.0f}ms",
             file=sys.stderr,
         )
 
@@ -873,15 +869,6 @@ def build_parser() -> argparse.ArgumentParser:
     sv.add_argument("--max-queue-heavy", type=_nonneg_int, default=32,
                     help="admission: queued NMF-bearing requests before "
                          "shedding (default: 32)")
-    sv.add_argument("--breaker-threshold", type=_positive_int, default=5,
-                    help="consecutive lane failures that open the circuit "
-                         "breaker (default: 5)")
-    sv.add_argument("--breaker-recovery", type=_positive_float, default=2.0,
-                    help="seconds an open breaker waits before its "
-                         "half-open probe (default: 2)")
-    sv.add_argument("--chaos-ops", action="store_true",
-                    help="enable POST /chaos fault injection (load tests "
-                         "only — never on a real deployment)")
     sv.set_defaults(func=cmd_serve)
 
     lt = sub.add_parser(
@@ -913,7 +900,7 @@ def build_parser() -> argparse.ArgumentParser:
                          "0 = none (chaos mode defaults to 2000)")
     lt.add_argument("--chaos", action="store_true",
                     help="run the 3-phase overload/chaos scenario "
-                         "(baseline, burst, breaker-trip) and assert the "
+                         "(baseline, burst, tight deadline) and assert the "
                          "overload invariants; exit 1 on any violation")
     lt.add_argument("--burst-concurrency", type=_positive_int, default=None,
                     help="chaos: overload-phase client threads "

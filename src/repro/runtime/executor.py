@@ -12,8 +12,8 @@ Every other batch (pipeline nodes, shard fan-out) is a plain loop at
 its call site: an exception a task raises propagates unchanged.
 
 :class:`FailureReport` is the process-global log of the faults the
-runtime observed and survived: cache quarantines, circuit-breaker trips
-and lock-sanitizer findings (see :func:`failure_report`).
+runtime observed and survived: cache quarantines and lock-sanitizer
+findings (see :func:`failure_report`).
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from repro.runtime.sanitize import lock_factory
 class FailureEvent:
     """One observed failure/recovery event in the runtime or service."""
 
-    kind: str               # "cache_quarantined" | "breaker_open" | "sanitizer.*"
+    kind: str               # "cache_quarantined" | "sanitizer.*"
     error: str = ""         # repr of the triggering exception
     detail: str = ""
 
@@ -228,9 +228,9 @@ def cached_nmf_fits(
     Returns the bundles for ``specs`` if **every** spec hits the
     content-addressed :class:`ResultCache` (memory LRU or on-disk
     ``.npz``), else ``None``.  This is the degraded-mode backend for the
-    service layer: when a broker lane is open or a request's deadline is
-    too tight for a cold fit, a previously computed factorization can
-    still be served — flagged degraded — without touching a kernel.
+    service layer: when a request's deadline is too tight for a cold fit
+    or its result wait timed out, a previously computed factorization
+    can still be served — flagged degraded — without touching a kernel.
     Keys are the same as :func:`run_nmf_fits`'s, so anything a normal
     request computed is servable here bit for bit.
     """

@@ -10,8 +10,7 @@ Layers, bottom up:
   queried in-process, cached family matrices) and the endpoint logic,
   HTTP-free.
 * :mod:`~repro.service.admission` — the overload controls: bounded
-  admission gates per endpoint class, monotonic request deadlines,
-  and circuit breakers around the broker lanes.
+  admission gates per endpoint class and monotonic request deadlines.
 * :mod:`~repro.service.server` — the threaded stdlib HTTP JSON front
   end with graceful request draining.
 * :mod:`~repro.service.client` / :mod:`~repro.service.loadgen` — a
@@ -27,8 +26,6 @@ from repro.service.admission import (
     NO_DEADLINE,
     AdmissionGate,
     AdmissionShed,
-    BreakerOpen,
-    CircuitBreaker,
     Deadline,
     DeadlineExceeded,
 )
@@ -64,8 +61,6 @@ __all__ = [
     "NO_DEADLINE",
     "AdmissionGate",
     "AdmissionShed",
-    "BreakerOpen",
-    "CircuitBreaker",
     "Deadline",
     "DeadlineExceeded",
     "BrokerClosed",

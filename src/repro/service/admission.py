@@ -1,10 +1,10 @@
-"""Overload controls for the analysis service: gates, deadlines, breakers.
+"""Overload controls for the analysis service: gates and deadlines.
 
 A server that accepts every connection and waits forever on every
-dependency does not survive its first traffic burst.  This module holds
-the three mechanisms the service stack composes into an overload-safe
-request path (the decision order is admission → deadline → breaker →
-degrade; see docs/ARCHITECTURE.md "Overload & recovery"):
+request does not survive its first traffic burst.  This module holds
+the two mechanisms the service stack composes into an overload-safe
+request path (the decision order is admission → deadline → degrade;
+see docs/ARCHITECTURE.md "Overload & recovery"):
 
 * :class:`AdmissionGate` — a bounded in-flight limiter per endpoint
   class (cheap reads vs NMF-bearing analyses).  Below the in-flight
@@ -17,27 +17,20 @@ degrade; see docs/ARCHITECTURE.md "Overload & recovery"):
   ``deadline_ms`` (or the server default).  Waits bound themselves by
   ``remaining()``; a request that cannot finish in time fails with
   :class:`DeadlineExceeded` (HTTP 504) instead of blocking its client.
-* :class:`CircuitBreaker` — a failure-counting switch around a
-  dependency (a broker lane).  ``threshold``
-  consecutive failures open it; while open, calls fail fast with
-  :class:`BreakerOpen` (HTTP 503, or degraded-mode serving when a
-  cached result exists); after ``recovery_s`` one half-open probe is
-  admitted and its outcome closes or re-opens the breaker.
 
 Everything is stdlib + :mod:`repro.runtime`: thread-safe via the
-sanitizer-aware lock factories, observable via ``service.shed.*`` /
-``service.breaker.*`` counters, and breaker trips are recorded in the
-process-global :func:`repro.runtime.executor.failure_report`.
+sanitizer-aware lock factories and observable via ``service.shed.*``
+counters.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 import time
 
-from repro.runtime.executor import failure_report
 from repro.runtime.metrics import metrics
-from repro.runtime.sanitize import make_condition, make_lock
+from repro.runtime.sanitize import make_condition
 
 #: Endpoint-class names used by the server's gate table.
 CHEAP = "cheap"
@@ -64,15 +57,6 @@ class AdmissionShed(Exception):
         self.retry_after_s = retry_after_s
 
 
-class BreakerOpen(Exception):
-    """A circuit breaker refused the call without attempting it."""
-
-    def __init__(self, name: str, retry_after_s: float) -> None:
-        super().__init__(f"circuit breaker {name!r} is open")
-        self.name = name
-        self.retry_after_s = retry_after_s
-
-
 class Deadline:
     """A monotonic expiry point; ``None`` budget means unbounded.
 
@@ -93,6 +77,8 @@ class Deadline:
             return cls(None)
         if budget_s <= 0 or not math.isfinite(budget_s):
             raise ValueError(f"deadline budget must be > 0, got {budget_s}")
+        if budget_s >= threading.TIMEOUT_MAX:
+            return cls(None)  # longer than any lock wait can be bounded
         return cls(time.perf_counter() + budget_s)
 
     def remaining(self) -> float | None:
@@ -211,172 +197,4 @@ class AdmissionGate:
                 "max_inflight": self.max_inflight,
                 "max_queue": self.max_queue,
                 "draining": self._draining,
-            }
-
-
-class CircuitBreaker:
-    """Consecutive-failure breaker with timed half-open recovery.
-
-    ``closed`` — calls flow; each failure increments a consecutive
-    counter, any success resets it.  ``threshold`` consecutive failures
-    trip the breaker ``open``: :meth:`allow` fails fast until
-    ``recovery_s`` elapses, after which exactly one caller is admitted
-    as the ``half_open`` probe.  The probe's success closes the breaker;
-    its failure re-opens it for another ``recovery_s``.
-
-    Callers wrap a backend call as::
-
-        breaker.allow()          # may raise BreakerOpen
-        try:    ...backend...
-        except: breaker.record_failure(exc); raise
-        else:   breaker.record_success()
-    """
-
-    CLOSED = "closed"
-    OPEN = "open"
-    HALF_OPEN = "half_open"
-
-    def __init__(
-        self, name: str, *, threshold: int = 5, recovery_s: float = 2.0
-    ) -> None:
-        if threshold < 1:
-            raise ValueError(f"threshold must be >= 1, got {threshold}")
-        if recovery_s <= 0:
-            raise ValueError(f"recovery_s must be > 0, got {recovery_s}")
-        self.name = name
-        self.threshold = threshold
-        self.recovery_s = recovery_s
-        self._lock = make_lock("service.breaker")
-        self._state = self.CLOSED
-        self._failures = 0
-        self._opened_at = 0.0
-        self._probe_inflight = False
-        self._trips = 0
-        self._last_error = ""
-
-    # -- the call protocol ---------------------------------------------------
-
-    def allow(self) -> None:
-        """Admit the call, or raise :class:`BreakerOpen` to fail fast."""
-        with self._lock:
-            if self._state == self.CLOSED:
-                return
-            now = time.perf_counter()
-            if self._state == self.OPEN:
-                elapsed = now - self._opened_at
-                if elapsed < self.recovery_s:
-                    metrics.inc("service.breaker.fast_fail")
-                    raise BreakerOpen(
-                        self.name, max(self.recovery_s - elapsed, 0.001)
-                    )
-                self._state = self.HALF_OPEN
-                self._probe_inflight = False
-                metrics.inc("service.breaker.half_open")
-            # Half-open: exactly one probe at a time.
-            if self._probe_inflight:
-                metrics.inc("service.breaker.fast_fail")
-                raise BreakerOpen(self.name, self.recovery_s)
-            self._probe_inflight = True
-
-    def check(self) -> None:
-        """Fail fast if the breaker would refuse a call, claiming nothing.
-
-        Submission-side guard: unlike :meth:`allow` it never claims the
-        half-open probe, so a checker that subsequently never reports an
-        outcome (e.g. a request dropped in a queue) cannot wedge the
-        breaker in its probing state.
-        """
-        with self._lock:
-            if self._state == self.CLOSED:
-                return
-            if self._state == self.OPEN:
-                remaining = self.recovery_s - (
-                    time.perf_counter() - self._opened_at
-                )
-                if remaining <= 0:
-                    return  # recovery elapsed: the dispatcher may probe
-                metrics.inc("service.breaker.fast_fail")
-                raise BreakerOpen(self.name, max(remaining, 0.001))
-            if self._probe_inflight:
-                metrics.inc("service.breaker.fast_fail")
-                raise BreakerOpen(self.name, self.recovery_s)
-
-    def record_success(self) -> None:
-        with self._lock:
-            if self._state != self.CLOSED:
-                metrics.inc("service.breaker.close")
-            self._state = self.CLOSED
-            self._failures = 0
-            self._probe_inflight = False
-
-    def record_failure(self, error: BaseException | str = "") -> None:
-        with self._lock:
-            self._failures += 1
-            self._probe_inflight = False
-            tripping = (
-                self._state == self.HALF_OPEN
-                or (self._state == self.CLOSED
-                    and self._failures >= self.threshold)
-            )
-            if not tripping:
-                return
-            self._state = self.OPEN
-            self._opened_at = time.perf_counter()
-            self._trips += 1
-            self._last_error = (
-                repr(error) if isinstance(error, BaseException) else str(error)
-            )
-            metrics.inc("service.breaker.open")
-        # Outside the lock: the failure report takes its own lock.
-        failure_report().add(
-            "breaker_open",
-            error=error if isinstance(error, BaseException) else str(error),
-            detail=f"circuit breaker {self.name!r} tripped",
-        )
-
-    def trip(self, reason: str = "forced") -> None:
-        """Force the breaker open (chaos ops and tests)."""
-        with self._lock:
-            self._failures = self.threshold
-            self._state = self.OPEN
-            self._opened_at = time.perf_counter()
-            self._trips += 1
-            self._last_error = reason
-            metrics.inc("service.breaker.open")
-        failure_report().add(
-            "breaker_open", error=reason,
-            detail=f"circuit breaker {self.name!r} forced open",
-        )
-
-    # -- observation ---------------------------------------------------------
-
-    @property
-    def state(self) -> str:
-        with self._lock:
-            if (
-                self._state == self.OPEN
-                and time.perf_counter() - self._opened_at >= self.recovery_s
-            ):
-                return self.HALF_OPEN  # would probe on the next allow()
-            return self._state
-
-    def is_open(self) -> bool:
-        """Whether a call right now would fail fast (no probe available)."""
-        with self._lock:
-            if self._state == self.CLOSED:
-                return False
-            if self._state == self.OPEN:
-                return time.perf_counter() - self._opened_at < self.recovery_s
-            return self._probe_inflight
-
-    def snapshot(self) -> dict:
-        state = self.state  # resolves open→half_open transitions
-        with self._lock:
-            return {
-                "state": state,
-                "consecutive_failures": self._failures,
-                "threshold": self.threshold,
-                "recovery_s": self.recovery_s,
-                "trips": self._trips,
-                "last_error": self._last_error,
             }

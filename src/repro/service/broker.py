@@ -38,18 +38,13 @@ from __future__ import annotations
 
 import threading
 from concurrent.futures import Future
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Hashable, Sequence
 
 from repro.runtime.executor import run_nmf_fits
 from repro.runtime.metrics import metrics
 from repro.runtime.sanitize import make_condition, make_lock
-from repro.service.admission import (
-    BreakerOpen,
-    CircuitBreaker,
-    Deadline,
-    DeadlineExceeded,
-)
+from repro.service.admission import Deadline, DeadlineExceeded
 
 
 class BrokerClosed(RuntimeError):
@@ -150,12 +145,10 @@ class _Lane:
         name: str,
         dispatch: Callable[[list], None],
         max_batch: int,
-        breaker: CircuitBreaker | None = None,
     ) -> None:
         self.name = name
         self._dispatch = dispatch
         self._max_batch = max_batch
-        self._breaker = breaker
         self._cond = make_condition("broker.lane")
         self._queue: list[tuple[Any, Future]] = []
         self._closing = False
@@ -189,14 +182,14 @@ class _Lane:
                     return
                 batch = self._queue[: self._max_batch]
                 del self._queue[: self._max_batch]
-            _run_batch(self.name, self._dispatch, batch, self._breaker)
+            _run_batch(self.name, self._dispatch, batch)
 
 
 def _run_batch(
     name: str,
     dispatch: Callable[[list], None],
     batch: list,
-    breaker: CircuitBreaker | None = None,
+    _unused: object = None,  # e2ebench/traced_server.py passes a 4th argument
 ) -> None:
     # Requests whose deadline expired while queued never reach the
     # backend: they fail with DeadlineExceeded here, before dispatch,
@@ -232,15 +225,6 @@ def _run_batch(
         )
     if not live:
         return
-    if breaker is not None:
-        # Claim the half-open probe (or fail fast) on the dispatcher
-        # thread — the same thread that records the outcome below, so a
-        # claimed probe can never leak.
-        try:
-            breaker.allow()
-        except BreakerOpen as exc:
-            _fail(live, exc)
-            return
     with timer:
         try:
             dispatch(live)
@@ -253,14 +237,9 @@ class RequestBroker:
 
     ``search_many`` is the batched query callable (typically the sharded
     repository's bound method).  Each NMF batch runs as one stacked
-    engine call: that is the point of coalescing.
-
-    Each lane is guarded by a :class:`CircuitBreaker`:
-    ``breaker_threshold`` consecutive backend failures open it, after
-    which submissions fail fast with :class:`BreakerOpen` until a
-    half-open probe (first dispatch after ``breaker_recovery_s``)
-    succeeds.  Deadline-expired and fast-failed requests do not count as
-    backend failures — only the dispatched call's own outcome does.
+    engine call: that is the point of coalescing.  A failing kernel call
+    fails the requests of its group only, with the kernel's own
+    exception.
     """
 
     def __init__(
@@ -269,51 +248,29 @@ class RequestBroker:
         search_many: Callable | None = None,
         max_batch: int = 32,
         coalesce: bool = True,
-        breaker_threshold: int = 5,
-        breaker_recovery_s: float = 2.0,
     ) -> None:
         if max_batch < 1:
             raise ValueError(f"max_batch must be >= 1, got {max_batch}")
         self._search_many = search_many
         self.coalesce = coalesce
         self.max_batch = max_batch
-        self.breakers: dict[str, CircuitBreaker] = {
-            "nmf": CircuitBreaker(
-                "nmf", threshold=breaker_threshold,
-                recovery_s=breaker_recovery_s,
-            ),
-            "search": CircuitBreaker(
-                "search", threshold=breaker_threshold,
-                recovery_s=breaker_recovery_s,
-            ),
-        }
         self._closed = False
         self._nmf_lane: _Lane | None = None
         self._search_lane: _Lane | None = None
         if coalesce:
-            self._nmf_lane = _Lane(
-                "nmf", self._dispatch_nmf, max_batch,
-                self.breakers["nmf"],
-            )
+            self._nmf_lane = _Lane("nmf", self._dispatch_nmf, max_batch)
             self._search_lane = _Lane(
-                "search", self._dispatch_search, max_batch,
-                self.breakers["search"],
+                "search", self._dispatch_search, max_batch
             )
 
     # -- submission ----------------------------------------------------------
 
-    def breaker(self, name: str) -> CircuitBreaker:
-        """The lane breaker (``"nmf"`` or ``"search"``)."""
-        return self.breakers[name]
-
     def submit_nmf(self, job: NmfJob) -> PendingResult:
-        self.breakers["nmf"].check()
         if self._nmf_lane is not None:
             return PendingResult(self._nmf_lane.submit(job), job.finish)
         return self._inline("nmf", self._dispatch_nmf, job)
 
     def submit_search(self, job: SearchJob) -> PendingResult:
-        self.breakers["search"].check()
         if self._search_lane is not None:
             return PendingResult(self._search_lane.submit(job), job.finish)
         return self._inline("search", self._dispatch_search, job)
@@ -323,7 +280,7 @@ class RequestBroker:
         if self._closed:
             raise BrokerClosed(f"broker lane {name!r} is closed")
         fut: Future = Future()
-        _run_batch(name, dispatch, [(job, fut)], self.breakers[name])
+        _run_batch(name, dispatch, [(job, fut)])
         return PendingResult(fut, job.finish)
 
     def close(self) -> None:
@@ -363,10 +320,8 @@ class RequestBroker:
             try:
                 bundles = run_nmf_fits(matrix, specs)
             except BaseException as exc:
-                self.breakers["nmf"].record_failure(exc)
                 _fail(group_jobs, exc)
                 continue
-            self.breakers["nmf"].record_success()
             for key in order:
                 lo, hi = slices[key]
                 for _job, fut in unique[key]:
@@ -390,9 +345,7 @@ class RequestBroker:
             try:
                 results = self._search_many(flat, tree=tree, limit=limit)
             except BaseException as exc:
-                self.breakers["search"].record_failure(exc)
                 _fail(group_jobs, exc)
                 continue
-            self.breakers["search"].record_success()
             for (_job, fut), (lo, hi) in zip(group_jobs, spans):
                 _resolve(fut, results[lo:hi])

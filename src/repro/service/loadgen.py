@@ -25,10 +25,15 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.service.client import ClientPool, ServiceClient
+from repro.service.state import DEGRADE_FLOOR_S
 
 DEFAULT_MIX = "search=4,similar=2,coverage=2,typing=1,flavors=1,anchors=1"
 #: NMF-heavy mix for overload phases — pressure lands on the heavy gate.
 CHAOS_MIX = "search=2,similar=1,typing=2,flavors=1,anchors=1"
+#: Per-request budget of the chaos drill's tight-deadline phase (20 ms):
+#: below the server's degrade floor, so each NMF request the baseline
+#: already fitted is answered from the result cache, flagged degraded.
+TIGHT_DEADLINE_MS = DEGRADE_FLOOR_S * 1e3 / 2.5
 
 _ENDPOINTS = (
     "search", "similar", "coverage", "typing", "flavors", "anchors", "healthz",
@@ -74,7 +79,6 @@ class _EndpointStats:
     latencies_s: list[float] = field(default_factory=list)
     errors: int = 0
     shed: int = 0
-    breaker_open: int = 0
     deadline_exceeded: int = 0
     degraded: int = 0
     deadline_violations: int = 0
@@ -86,7 +90,6 @@ class _EndpointStats:
             "count": count,
             "errors": self.errors,
             "shed": self.shed,
-            "breaker_open": self.breaker_open,
             "deadline_exceeded": self.deadline_exceeded,
             "degraded": self.degraded,
             "deadline_violations": self.deadline_violations,
@@ -104,8 +107,7 @@ class LoadReport:
 
     Every response lands in exactly one bucket: a latency sample
     (HTTP 200 — ``degraded`` additionally counts the 200s served from
-    cache), ``shed`` (503 at the admission gate), ``breaker_open``
-    (503 fast-fail from an open lane breaker), ``deadline_exceeded``
+    cache), ``shed`` (503 at the admission gate), ``deadline_exceeded``
     (504), or ``errors`` (anything else).  ``deadline_violations``
     counts responses — any bucket — that took longer than the request
     deadline plus scheduling grace: the client-visible "did anyone
@@ -120,7 +122,6 @@ class LoadReport:
     endpoints: dict[str, dict]
     error_samples: list[str]
     shed: int = 0
-    breaker_open: int = 0
     deadline_exceeded: int = 0
     degraded: int = 0
     deadline_violations: int = 0
@@ -134,7 +135,6 @@ class LoadReport:
             "total_errors": self.total_errors,
             "requests_per_s": self.requests_per_s,
             "shed": self.shed,
-            "breaker_open": self.breaker_open,
             "deadline_exceeded": self.deadline_exceeded,
             "degraded": self.degraded,
             "deadline_violations": self.deadline_violations,
@@ -321,8 +321,6 @@ def run_load(
                 bucket.degraded += 1
         elif status == 503 and doc.get("shed"):
             bucket.shed += 1
-        elif status == 503 and doc.get("breaker"):
-            bucket.breaker_open += 1
         elif status == 504:
             bucket.deadline_exceeded += 1
         else:
@@ -399,14 +397,13 @@ def run_load(
             agg.latencies_s.extend(bucket.latencies_s)
             agg.errors += bucket.errors
             agg.shed += bucket.shed
-            agg.breaker_open += bucket.breaker_open
             agg.deadline_exceeded += bucket.deadline_exceeded
             agg.degraded += bucket.degraded
             agg.deadline_violations += bucket.deadline_violations
             all_latencies.extend(bucket.latencies_s)
     total_requests = sum(
         len(b.latencies_s)
-        + b.errors + b.shed + b.breaker_open + b.deadline_exceeded
+        + b.errors + b.shed + b.deadline_exceeded
         for b in merged.values()
     )
     total_errors = sum(b.errors for b in merged.values())
@@ -420,7 +417,6 @@ def run_load(
         endpoints={name: b.to_dict() for name, b in merged.items()},
         error_samples=error_samples,
         shed=sum(b.shed for b in merged.values()),
-        breaker_open=sum(b.breaker_open for b in merged.values()),
         deadline_exceeded=sum(
             b.deadline_exceeded for b in merged.values()
         ),
@@ -441,14 +437,13 @@ class ChaosReport:
 
     ``violations`` is empty when every overload invariant held: no
     client blocked past its deadline (+grace), every response fell in a
-    known bucket (no 500s), overload produced shedding rather than
-    collapse, and the p99 of *admitted* requests stayed within
-    ``p99_budget``× the unloaded p99.
+    known bucket (no 500s), the p99 of *admitted* requests under
+    overload stayed within ``p99_budget``× the unloaded p99, and the
+    tight-deadline phase served at least one degraded answer.
     """
 
     phases: dict[str, dict]
     shed: int
-    breaker_open: int
     deadline_exceeded: int
     degraded: int
     errors: int
@@ -464,7 +459,6 @@ class ChaosReport:
         return {
             "ok": self.ok,
             "shed": self.shed,
-            "breaker_open": self.breaker_open,
             "deadline_exceeded": self.deadline_exceeded,
             "degraded": self.degraded,
             "errors": self.errors,
@@ -478,7 +472,6 @@ class ChaosReport:
         verdict = "OK" if self.ok else "VIOLATIONS"
         lines = [
             f"chaos loadtest: {verdict} — shed={self.shed} "
-            f"breaker_open={self.breaker_open} "
             f"deadline_exceeded={self.deadline_exceeded} "
             f"degraded={self.degraded} errors={self.errors} "
             f"deadline_violations={self.deadline_violations} "
@@ -500,7 +493,6 @@ def run_chaos_load(
     mix: str | dict[str, float] = CHAOS_MIX,
     nmf_k: int = 4,
     nmf_restarts: int = 2,
-    trip_breaker: bool = True,
     p99_budget: float = 3.0,
     timeout: float = 120.0,
 ) -> ChaosReport:
@@ -516,10 +508,10 @@ def run_chaos_load(
        gates must shed the excess (503) and late requests must 504,
        while admitted requests stay within ``p99_budget``× the
        baseline p99;
-    3. **chaos** — with ``trip_breaker`` the NMF lane's breaker is
-       forced open via ``POST /chaos`` (requests hit the degraded
-       cached path warmed in phase 1).  Requires the server to run
-       with chaos ops enabled (``repro serve --chaos-ops``).
+    3. **tight** — the baseline's requests again (same ``seed``, fixed
+       NMF seeds), each with a ``TIGHT_DEADLINE_MS`` budget below the
+       server's degrade floor: every NMF request is answered from the
+       factorizations phase 1 cached, flagged degraded.
 
     Returns a :class:`ChaosReport`; ``report.ok`` is the pass/fail the
     CI smoke gate asserts on.
@@ -561,36 +553,25 @@ def run_chaos_load(
         )
         phases["overload"] = overload.to_dict()
 
-        chaos = None
-        if trip_breaker:
-            status, doc = pool.client(0).post(
-                "/chaos", {"op": "trip_breaker", "lane": "nmf"}
-            )
-            if status != 200:
-                violations.append(
-                    f"chaos op trip_breaker failed: HTTP {status} "
-                    f"{doc.get('error')} (serve with --chaos-ops?)"
-                )
-            chaos = run_load(
-                host, port,
-                concurrency=concurrency,
-                duration_s=None,
-                requests_per_worker=requests_per_worker,
-                mix=mix,
-                seed=seed + 2,
-                nmf_k=nmf_k,
-                nmf_restarts=nmf_restarts,
-                vary_nmf_seeds=False,
-                nmf_seed_base=seed,
-                timeout=timeout,
-                deadline_ms=deadline_ms,
-                pool=pool,
-            )
-            phases["chaos"] = chaos.to_dict()
+        tight = run_load(
+            host, port,
+            concurrency=concurrency,
+            duration_s=None,
+            requests_per_worker=requests_per_worker,
+            mix=mix,
+            seed=seed,
+            nmf_k=nmf_k,
+            nmf_restarts=nmf_restarts,
+            vary_nmf_seeds=False,
+            nmf_seed_base=seed,
+            timeout=timeout,
+            deadline_ms=TIGHT_DEADLINE_MS,
+            pool=pool,
+        )
+        phases["tight"] = tight.to_dict()
 
-    reports = [r for r in (baseline, overload, chaos) if r is not None]
+    reports = [baseline, overload, tight]
     shed = sum(r.shed for r in reports)
-    breaker_open = sum(r.breaker_open for r in reports)
     deadline_exceeded = sum(r.deadline_exceeded for r in reports)
     degraded = sum(r.degraded for r in reports)
     errors = sum(r.total_errors for r in reports)
@@ -617,20 +598,16 @@ def run_chaos_load(
                 f"unloaded p99 (budget {p99_budget:.1f}x) — admission "
                 "is letting queues build"
             )
-    if chaos is not None:
-        served_degraded_or_fast = (
-            chaos.degraded + chaos.breaker_open + chaos.shed
+    if tight.degraded == 0:
+        violations.append(
+            f"no degraded response under a {TIGHT_DEADLINE_MS:.0f} ms "
+            "budget after the baseline warmed the cache — the degrade "
+            "path is dead"
         )
-        if served_degraded_or_fast == 0:
-            violations.append(
-                "breaker was tripped but the chaos phase saw no "
-                "degraded/fast-fail responses — the degrade path is dead"
-            )
 
     return ChaosReport(
         phases=phases,
         shed=shed,
-        breaker_open=breaker_open,
         deadline_exceeded=deadline_exceeded,
         degraded=degraded,
         errors=errors,

@@ -14,7 +14,7 @@ Endpoints (all JSON; POST bodies are JSON objects, GET uses query
 strings):
 
 ====================  ======================================================
-``GET /healthz``      liveness, corpus counts, breaker/admission state
+``GET /healthz``      liveness, corpus counts, admission state
 ``GET /metrics``      runtime metrics snapshot (counters, timers,
                       latency histograms, cache stats, failure report)
 ``GET /corpus``       served ids (courses, sample of materials, tags) —
@@ -25,7 +25,6 @@ strings):
 ``POST /typing``      corpus/family NNMF course typing (Figure 2)
 ``POST /flavors``     family flavor analysis (Figures 5/7)
 ``POST /anchors``     anchor-point module recommendations (§5)
-``POST /chaos``       fault injection (only with ``chaos_ops=True``)
 ====================  ======================================================
 
 Overload behaviour (see docs/ARCHITECTURE.md "Overload & recovery"):
@@ -34,9 +33,9 @@ class — ``heavy`` for the NMF-bearing analyses, ``cheap`` for reads —
 and carries a monotonic :class:`Deadline` parsed from the
 ``X-Deadline-Ms`` header / ``deadline_ms`` param (server default
 otherwise).  Shed requests answer 503 with ``Retry-After``; requests
-whose budget runs out answer 504; when the NMF lane's circuit breaker
-is open (or the budget is too tight for a cold fit) a cached
-factorization is served flagged ``"degraded": true``.
+whose budget runs out answer 504, unless a cached factorization can
+answer an NMF request instead: that document is served flagged
+``"degraded": true``.
 
 Shutdown drains: queued admission waiters shed with a fast 503, the
 accept loop stops, in-flight handlers run to completion (handler
@@ -63,13 +62,17 @@ from repro.service.admission import (
     HEAVY,
     AdmissionGate,
     AdmissionShed,
-    BreakerOpen,
     Deadline,
     DeadlineExceeded,
     NO_DEADLINE,
 )
 from repro.service.broker import BrokerClosed, NmfJob, RequestBroker
-from repro.service.state import DEGRADE_FLOOR_S, ServiceError, ServiceState
+from repro.service.state import (
+    DEGRADE_FLOOR_S,
+    ServiceError,
+    ServiceState,
+    parse_number,
+)
 
 _MAX_BODY = 8 * 1024 * 1024
 
@@ -77,7 +80,7 @@ _MAX_BODY = 8 * 1024 * 1024
 _HEAVY_ROUTES = frozenset({"/typing", "/flavors", "/anchors"})
 #: Control-plane routes that bypass admission entirely (they must stay
 #: observable precisely when the gates are refusing everything else).
-_UNGATED_ROUTES = frozenset({"/healthz", "/metrics", "/chaos"})
+_UNGATED_ROUTES = frozenset({"/healthz", "/metrics"})
 
 
 class _Server(ThreadingHTTPServer):
@@ -146,13 +149,8 @@ class _Handler(BaseHTTPRequestHandler):
         if raw is None:
             budget = self.server.service.state.config.default_deadline_s
             return Deadline.after(budget) if budget is not None else NO_DEADLINE
-        try:
-            ms = float(raw)
-        except (TypeError, ValueError):
-            raise ServiceError(
-                400, f"deadline_ms must be a number, got {raw!r}"
-            ) from None
-        if ms <= 0 or not math.isfinite(ms):
+        ms = parse_number(raw, "deadline_ms")
+        if ms <= 0:
             raise ServiceError(400, f"deadline_ms must be > 0, got {raw!r}")
         return Deadline.after(ms / 1000.0)
 
@@ -184,9 +182,6 @@ class _Handler(BaseHTTPRequestHandler):
             status, doc = 503, {
                 "error": str(exc), "shed": True, "reason": exc.reason,
             }
-        except BreakerOpen as exc:
-            retry_after = exc.retry_after_s
-            status, doc = 503, {"error": str(exc), "breaker": exc.name}
         except DeadlineExceeded as exc:
             status, doc = 504, {"error": str(exc), "deadline_exceeded": True}
         except BrokerClosed:
@@ -255,8 +250,6 @@ class ReproService:
             search_many=self._search_many,
             max_batch=config.max_batch,
             coalesce=config.coalesce,
-            breaker_threshold=config.breaker_threshold,
-            breaker_recovery_s=config.breaker_recovery_s,
         )
         self.gates: dict[str, AdmissionGate] = {
             CHEAP: AdmissionGate(
@@ -353,9 +346,6 @@ class ReproService:
         state = self.state
         if path == "/healthz":
             doc = state.healthz(params)
-            doc["breakers"] = {
-                lane: b.state for lane, b in self.broker.breakers.items()
-            }
             doc["admission"] = {
                 cls: gate.snapshot() for cls, gate in self.gates.items()
             }
@@ -365,8 +355,6 @@ class ReproService:
             return doc
         if path == "/metrics":
             return self.metrics_doc()
-        if path == "/chaos":
-            return self._chaos(params)
         if path == "/corpus":
             return state.corpus_info(params)
         if path == "/coverage":
@@ -406,75 +394,35 @@ class ReproService:
     def _nmf_result(self, job: NmfJob, deadline: Deadline) -> dict:
         """Submit an NMF job with the degrade ladder around it.
 
-        Decision order: if the lane breaker is open or the remaining
-        budget is below ``DEGRADE_FLOOR_S`` (too tight for any cold
-        fit), try the cached-factorization path first; a live submit
-        that fails fast on the breaker falls back to it too; a live
-        wait that times out tries it before giving up with 504.
-        Degraded answers are bit-identical to live fits of the same
-        specs — they come from the same checksummed result cache.
+        Decision order: a remaining budget below ``DEGRADE_FLOOR_S`` is
+        too tight for any cold fit, so the cached-factorization path is
+        tried first; otherwise, or on a cache miss, the job is
+        submitted, and a result wait that times out tries the cache
+        before giving up with 504.  Degraded answers are bit-identical
+        to live fits of the same specs — they come from the same
+        checksummed result cache.
         """
         state = self.state
-        breaker = self.broker.breaker("nmf")
         remaining = deadline.remaining()
-        if breaker.is_open() or (
-            remaining is not None
-            and remaining < DEGRADE_FLOOR_S
-        ):
+        if remaining is not None and remaining < DEGRADE_FLOOR_S:
             doc = state.degraded_nmf(job)
             if doc is not None:
                 return doc
         deadline.require()
         job.deadline = deadline
-        try:
-            pending = self.broker.submit_nmf(job)
-        except BreakerOpen:
-            doc = state.degraded_nmf(job)
-            if doc is not None:
-                return doc
-            raise
+        pending = self.broker.submit_nmf(job)
         try:
             return self._await(pending, deadline)
-        except BreakerOpen:
-            # The batch hit the breaker after this job was queued.
-            doc = state.degraded_nmf(job)
-            if doc is not None:
-                return doc
-            raise
         except DeadlineExceeded:
             doc = state.degraded_nmf(job)
             if doc is not None:
                 return doc
             raise
 
-    # -- chaos ops (fault injection for load tests) --------------------------
-
-    def _chaos(self, params: dict) -> dict:
-        """``POST /chaos``: fault injection, enabled by ``chaos_ops``.
-
-        One op, ``trip_breaker``: force a lane breaker open, so the
-        chaos load test can exercise degraded-mode serving from outside
-        the process.
-        """
-        if not self.state.config.chaos_ops:
-            raise ServiceError(404, "no route '/chaos'")
-        op = params.get("op")
-        if op == "trip_breaker":
-            lane = str(params.get("lane", "nmf"))
-            if lane not in self.broker.breakers:
-                raise ServiceError(400, f"unknown lane {lane!r}")
-            self.broker.breakers[lane].trip("chaos trip_breaker op")
-            metrics.inc("service.chaos.ops")
-            return {"ok": True, "op": op, "lane": lane}
-        raise ServiceError(400, f"op must be trip_breaker, got {op!r}")
-
     def metrics_doc(self) -> dict:
         doc = metrics.snapshot()
         doc["uptime_s"] = time.perf_counter() - self._t0
         doc["failures"] = dict(failure_report().counts)
-        doc["breakers"] = {
-            lane: b.snapshot() for lane, b in self.broker.breakers.items()
-        }
         doc["admission"] = {
             cls: gate.snapshot() for cls, gate in self.gates.items()
         }

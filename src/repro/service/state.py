@@ -24,6 +24,7 @@ without sockets in the loop.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any, Mapping, Sequence
 
@@ -97,11 +98,7 @@ class ServiceConfig:
     ``max_inflight_*`` / ``max_queue_*`` pairs bound each endpoint
     class's admission gate (past the queue watermark requests shed with
     503); ``default_deadline_s`` is the per-request budget when the
-    client sends no ``deadline_ms`` (``None`` = unbounded);
-    ``breaker_threshold`` / ``breaker_recovery_s`` configure the lane
-    circuit breakers.  ``chaos_ops=True`` enables the ``POST /chaos``
-    fault-injection endpoint (load tests only — never expose it on a
-    real deployment).
+    client sends no ``deadline_ms`` (``None`` = unbounded).
     """
 
     n_shards: int = 4
@@ -113,9 +110,6 @@ class ServiceConfig:
     max_inflight_heavy: int = 8
     max_queue_heavy: int = 32
     default_deadline_s: float | None = 30.0
-    breaker_threshold: int = 5
-    breaker_recovery_s: float = 2.0
-    chaos_ops: bool = False
 
     def __post_init__(self) -> None:
         if self.resident:
@@ -127,6 +121,10 @@ class ServiceConfig:
 
 
 # -- parameter parsing -------------------------------------------------------
+#
+# A GET query string carries every value as text, so numerals parse from
+# strings; a JSON body must carry the JSON type itself (a bool is not an
+# integer, and neither is a float).
 
 
 def _params_int(
@@ -139,8 +137,10 @@ def _params_int(
 ) -> int:
     raw = params.get(name, default)
     try:
+        if isinstance(raw, bool) or not isinstance(raw, (int, str)):
+            raise TypeError
         value = int(raw)
-    except (TypeError, ValueError, OverflowError):
+    except (TypeError, ValueError):
         raise ServiceError(400, f"{name} must be an integer, got {raw!r}") from None
     if lo is not None and value < lo:
         raise ServiceError(400, f"{name} must be >= {lo}, got {value}")
@@ -149,12 +149,29 @@ def _params_int(
     return value
 
 
-def _params_float(params: Mapping, name: str, default: float) -> float:
-    raw = params.get(name, default)
+def parse_number(raw: Any, name: str) -> float:
+    """A finite float from a JSON number or a numeral string."""
     try:
-        return float(raw)
-    except (TypeError, ValueError):
+        if isinstance(raw, bool) or not isinstance(raw, (int, float, str)):
+            raise TypeError
+        value = float(raw)
+    except (TypeError, ValueError, OverflowError):
         raise ServiceError(400, f"{name} must be a number, got {raw!r}") from None
+    if not math.isfinite(value):
+        raise ServiceError(400, f"{name} must be finite, got {raw!r}")
+    return value
+
+
+def _params_float(params: Mapping, name: str, default: float) -> float:
+    return parse_number(params.get(name, default), name)
+
+
+def _params_str(params: Mapping, name: str) -> str | None:
+    """A string parameter, or ``None`` when absent or null."""
+    raw = params.get(name)
+    if raw is not None and not isinstance(raw, str):
+        raise ServiceError(400, f"{name} must be a string, got {raw!r}")
+    return raw
 
 
 def _params_enum(params: Mapping, name: str, enum_cls, default=None):
@@ -188,8 +205,9 @@ def parse_query(doc: Any) -> SearchQuery:
         raise ServiceError(400, "tags must be a list of strings")
     kwargs: dict[str, Any] = {"tags": frozenset(tags)}
     for name in ("text", "author", "course_level", "language", "dataset"):
-        if doc.get(name) not in (None, ""):
-            kwargs[name] = str(doc[name])
+        value = _params_str(doc, name)
+        if value:
+            kwargs[name] = value
     mtype = _params_enum(doc, "type", MaterialType)
     if mtype is not None:
         kwargs["mtype"] = mtype
@@ -274,10 +292,10 @@ class ServiceState:
             return family
 
     def _course(self, params: Mapping) -> Course:
-        course_id = params.get("course_id")
+        course_id = _params_str(params, "course_id")
         if not course_id:
             raise ServiceError(400, "course_id is required")
-        course = self.courses_by_id.get(str(course_id))
+        course = self.courses_by_id.get(course_id)
         if course is None:
             raise ServiceError(404, f"no course {course_id!r}")
         return course
@@ -288,8 +306,7 @@ class ServiceState:
         n_restarts = _params_int(
             params, "n_restarts", DEFAULT_RESTARTS, lo=1, hi=MAX_RESTARTS
         )
-        label = params.get("label")
-        return k, seed, n_restarts, (str(label) if label is not None else None)
+        return k, seed, n_restarts, _params_str(params, "label")
 
     # -- direct endpoints (no kernel work, answered inline) ------------------
 
@@ -331,12 +348,12 @@ class ServiceState:
         }
 
     def similar(self, params: Mapping) -> dict:
-        material_id = params.get("material_id")
+        material_id = _params_str(params, "material_id")
         if not material_id:
             raise ServiceError(400, "material_id is required")
         limit = _params_int(params, "limit", DEFAULT_LIMIT, lo=1)
         try:
-            hits = self.repo.find_similar(str(material_id), limit=limit)
+            hits = self.repo.find_similar(material_id, limit=limit)
         except KeyError:
             raise ServiceError(404, f"no material {material_id!r}") from None
         return {"material_id": material_id, "results": [_hit(r) for r in hits]}
@@ -496,11 +513,11 @@ class ServiceState:
     def degraded_nmf(self, job: NmfJob) -> dict | None:
         """Serve ``job`` from cached factorizations only, or ``None``.
 
-        Used when the NMF lane's circuit breaker is open or the request
-        deadline is too tight for a cold fit: if *every* spec in the job
-        already has a checksummed ``.npz`` bundle in the runtime result
-        cache, the response document is built from those bundles —
-        bit-identical to a live fit — and flagged ``"degraded": true``.
+        Used when the request deadline is too tight for a cold fit or
+        its result wait timed out: if *every* spec in the job already
+        has a checksummed ``.npz`` bundle in the runtime result cache,
+        the response document is built from those bundles — bit-
+        identical to a live fit — and flagged ``"degraded": true``.
         A single cache miss returns ``None`` (no partial answers).
         """
         bundles = cached_nmf_fits(job.matrix, job.specs)

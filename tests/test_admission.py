@@ -2,15 +2,12 @@
 
 :mod:`repro.service.admission` is the part of the service stack that
 must be *provably* right in isolation — the HTTP tests exercise it
-end-to-end, but queue accounting, deadline arithmetic, and breaker
-state transitions each have edge cases a load test hits only by luck.
-Covered here:
+end-to-end, but queue accounting and deadline arithmetic each have
+edge cases a load test hits only by luck.  Covered here:
 
 * ``Deadline`` — budget arithmetic, the unbounded sentinel, expiry;
 * ``AdmissionGate`` — immediate admit, bounded queue with FIFO wakeup,
-  watermark shed, deadline-bounded waits, drain semantics;
-* ``CircuitBreaker`` — trip threshold, fail-fast while open, the
-  half-open single-probe protocol, and the non-claiming ``check()``.
+  watermark shed, deadline-bounded waits, drain semantics.
 """
 
 from __future__ import annotations
@@ -22,14 +19,11 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 import repro.runtime as runtime
-from repro.runtime.executor import failure_report
 from repro.runtime.metrics import metrics
 from repro.service import (
     NO_DEADLINE,
     AdmissionGate,
     AdmissionShed,
-    BreakerOpen,
-    CircuitBreaker,
     Deadline,
     DeadlineExceeded,
 )
@@ -65,6 +59,10 @@ class TestDeadline:
         assert d.remaining() <= 0
         with pytest.raises(DeadlineExceeded):
             d.require()
+
+    def test_budget_past_the_longest_wait_is_unbounded(self):
+        # A wait bounded by 1e308 s would raise OverflowError.
+        assert Deadline.after(1e308).remaining() is None
 
     @pytest.mark.parametrize("bad", [0.0, -1.0, float("inf"), float("nan")])
     def test_invalid_budgets_rejected(self, bad):
@@ -186,83 +184,3 @@ class TestAdmissionGate:
             AdmissionGate("x", max_inflight=0, max_queue=1)
         with pytest.raises(ValueError):
             AdmissionGate("x", max_inflight=1, max_queue=-1)
-
-
-# -- CircuitBreaker ----------------------------------------------------------
-
-
-class TestCircuitBreaker:
-    def test_threshold_consecutive_failures_trip(self):
-        b = CircuitBreaker("nmf", threshold=3, recovery_s=60.0)
-        for _ in range(2):
-            b.allow()
-            b.record_failure(RuntimeError("boom"))
-        assert b.state == b.CLOSED  # 2 < threshold
-        b.allow()
-        b.record_failure(RuntimeError("boom"))
-        assert b.state == b.OPEN
-        assert b.is_open()
-        with pytest.raises(BreakerOpen) as exc:
-            b.allow()
-        assert exc.value.retry_after_s > 0
-        assert metrics.get("service.breaker.open") == 1
-        assert metrics.get("service.breaker.fast_fail") == 1
-
-    def test_success_resets_consecutive_count(self):
-        b = CircuitBreaker("nmf", threshold=2, recovery_s=60.0)
-        b.record_failure("x")
-        b.record_success()
-        b.record_failure("x")
-        assert b.state == b.CLOSED  # never 2 *consecutive*
-
-    def test_half_open_admits_exactly_one_probe(self):
-        b = CircuitBreaker("nmf", threshold=1, recovery_s=0.02)
-        b.record_failure(RuntimeError("boom"))
-        time.sleep(0.03)
-        assert b.state == b.HALF_OPEN
-        b.allow()  # the probe
-        with pytest.raises(BreakerOpen):
-            b.allow()  # second caller while the probe is out
-        b.record_success()
-        assert b.state == b.CLOSED
-        b.allow()  # closed again: flows freely
-
-    def test_failed_probe_reopens(self):
-        b = CircuitBreaker("nmf", threshold=1, recovery_s=0.02)
-        b.record_failure(RuntimeError("boom"))
-        time.sleep(0.03)
-        b.allow()
-        b.record_failure(RuntimeError("still down"))
-        assert b.state == b.OPEN
-        with pytest.raises(BreakerOpen):
-            b.allow()
-
-    def test_check_never_claims_the_probe(self):
-        b = CircuitBreaker("nmf", threshold=1, recovery_s=0.02)
-        b.record_failure(RuntimeError("boom"))
-        with pytest.raises(BreakerOpen):
-            b.check()
-        time.sleep(0.03)
-        # recovery elapsed: check passes but claims nothing, so the
-        # dispatcher-side allow() still gets the probe afterwards
-        b.check()
-        b.check()
-        b.allow()
-        with pytest.raises(BreakerOpen):
-            b.check()  # probe in flight now — checkers fail fast
-
-    def test_trip_and_failure_report(self):
-        b = CircuitBreaker("nmf", threshold=5, recovery_s=60.0)
-        b.trip("chaos op")
-        assert b.is_open()
-        snap = b.snapshot()
-        assert snap["state"] == b.OPEN
-        assert snap["trips"] == 1
-        assert snap["last_error"] == "chaos op"
-        assert failure_report().counts.get("breaker_open", 0) >= 1
-
-    def test_constructor_validation(self):
-        with pytest.raises(ValueError):
-            CircuitBreaker("x", threshold=0)
-        with pytest.raises(ValueError):
-            CircuitBreaker("x", recovery_s=0.0)

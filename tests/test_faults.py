@@ -104,17 +104,20 @@ def _quarantine_one(tmp_path):
 class TestFailureReport:
     def test_report_accumulates_and_serializes(self, tmp_path):
         failure_report().add(
-            "breaker_open", error=RuntimeError("lane down"), detail="forced"
+            "sanitizer.long_hold", error=RuntimeError("held 2.0s"),
+            detail="service.family",
         )
         _quarantine_one(tmp_path)
         report = failure_report()
         assert report and len(report) == report.to_dict()["n_events"] == 2
         data = report.to_dict()
-        assert data["counts"] == {"breaker_open": 1, "cache_quarantined": 1}
+        assert data["counts"] == {
+            "sanitizer.long_hold": 1, "cache_quarantined": 1,
+        }
         assert data["events"][0] == {
-            "kind": "breaker_open",
-            "error": "RuntimeError('lane down')",
-            "detail": "forced",
+            "kind": "sanitizer.long_hold",
+            "error": "RuntimeError('held 2.0s')",
+            "detail": "service.family",
         }
         assert "old.npz" in data["events"][1]["detail"]
         assert "cache_quarantined" in report.to_json()
