@@ -14,14 +14,17 @@ with a row-blocked update.
 
 Guarantees and mechanics:
 
-* **Bit-identical results.**  Every stacked operation is chosen so that
-  each run's slice goes through the exact floating-point op sequence of
-  the textbook 2-D solver loop (stacked ``matmul`` executes one BLAS
-  GEMM per slice with the same operands; elementwise ops are
-  per-element identical; convergence checks evaluate the same dense
-  objective per run).  ``W``, ``H``, ``err``, ``n_iter`` and
-  ``converged`` are the same bits whatever the batch size — which keeps
-  the content-addressed result cache and all downstream figures stable.
+* **Bit-identical results.**  On the dense path every stacked operation
+  is chosen so that each run's slice goes through the exact
+  floating-point op sequence of the textbook 2-D solver loop (stacked
+  ``matmul`` executes one BLAS GEMM per slice with the same operands;
+  elementwise ops are per-element identical; convergence checks
+  evaluate the same dense objective per run).  On the sparse path each
+  run's SpMM columns and Gram-trick sums are computed independently of
+  its batch-mates.  Either way ``W``, ``H``, ``err``, ``n_iter`` and
+  ``converged`` are the same bits whatever the batch size or
+  composition — which keeps the content-addressed result cache and all
+  downstream figures stable.
 * **Per-run convergence mask.**  Runs share one stopping rule (relative
   objective decrease every ``check_every`` iterations); a run that
   converges is frozen and dropped from the active batch while the
@@ -37,7 +40,10 @@ Guarantees and mechanics:
   objective is evaluated with the Gram trick ``||A||^2 - 2 tr(H'W'A) +
   tr((W'W)(HH'))`` with ``||A||^2`` cached per fit — the dense ``n x m``
   residual is never materialized.  (KL requires the dense ``WH`` and is
-  rejected for sparse input.)
+  rejected for sparse input.)  A dense Frobenius-loss ``A`` of
+  :data:`CSR_MIN_ELEMENTS` elements or more takes this path on its CSR:
+  the same bits as passing that CSR, within ulps of the dense loops.
+  Smaller matrices and the KL loss stay dense.
 
 :func:`repro.runtime.run_nmf_fits` runs all its cache misses through
 one :func:`batched_nmf_fits` call, in process.
@@ -60,6 +66,15 @@ _EPS = np.finfo(np.float64).eps
 #: Memory budget in float64 elements (~32 MB): the scratch of one solver
 #: chunk here, and the rows of ``A`` resident per out-of-core row block.
 ELEMENT_BUDGET = 4_000_000
+
+#: A dense Frobenius-loss ``A`` of at least this many elements (2^17,
+#: 1 MiB of float64) is fitted on its CSR.  Every matrix the program
+#: builds is a 0/1 incidence with at most ~22% ones: from this size up,
+#: SpMM passes over the nonzeros beat dense GEMMs over the whole array,
+#: while below it CSR saves little or loses once its build and the
+#: sparse call overheads are paid (``benchmarks/bench_nmf_kernels.py``
+#: times both sides).
+CSR_MIN_ELEMENTS = 1 << 17
 
 Step = Callable[[np.ndarray, np.ndarray], None]
 Errors = Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -359,7 +374,14 @@ def _make_mu_frobenius_sparse_step(ops: _SparseOps, model: NMF) -> Step:
 
 
 def _step_pair(a: np.ndarray | sparse.csr_array, model: NMF) -> tuple[Step, Errors]:
-    """The in-memory ``(step, errors)`` pair for ``model``'s solver."""
+    """The in-memory ``(step, errors)`` pair for ``model``'s solver.
+
+    A large dense Frobenius-loss ``a`` runs on its CSR (see
+    :data:`CSR_MIN_ELEMENTS`), the same bits as passing that CSR.
+    """
+    if (model.loss == "frobenius" and not sparse.issparse(a)
+            and a.size >= CSR_MIN_ELEMENTS):
+        a = as_sparse_matrix(a)
     if sparse.issparse(a):
         ops = _SparseOps(a)
         if model.solver == "mu":

@@ -46,7 +46,8 @@ from repro.util.digest import canonical_digest
 
 #: Pipeline cache-format version; bump to invalidate every memoized node.
 #: 2: course digests hash the header plus memoized material digests.
-PIPELINE_FORMAT = 2
+#: 3: course x tag matrices of 2^17 elements or more fit on their CSR.
+PIPELINE_FORMAT = 3
 
 #: Folds structured inputs (course digests, config mappings, label
 #: assignments) into node params.

@@ -149,7 +149,10 @@ def _spec_key(a_digest: str, spec: Mapping[str, Any]) -> str:
             "declare them in repro.runtime.cache so they enter the cache key"
         )
     h = hashlib.sha256()
-    h.update(b"nmf-batch:")
+    # Versioned: a kernel change that moves a fit's bits changes the tag,
+    # so an old disk cache cannot mix its bundles with fresh ones.
+    # v2: dense inputs of 2^17 elements or more fit on their CSR.
+    h.update(b"nmf-batch:v2:")
     h.update(a_digest.encode())
     params = {}
     for name, val in spec.items():
@@ -178,8 +181,13 @@ def run_nmf_fits(
     must be fully deterministic (pre-drawn inits or deterministic init
     schemes) — that is what makes the cache transparent.  ``a`` may
     also be a ``scipy.sparse`` matrix, which the engine keeps sparse in
-    the solver hot loops.  Returns one bundle per spec, in spec order,
-    each with ``w``, ``h``, ``err``, ``n_iter``, ``converged``.
+    the solver hot loops; a dense ``a`` of
+    :data:`~repro.factorization.kernels.CSR_MIN_ELEMENTS` elements or
+    more is fitted on its CSR for the Frobenius loss, with the bits of
+    that CSR input (within ulps of the dense loops).  Either way the
+    cache key hashes the matrix as passed.  Returns one bundle per spec,
+    in spec order, each with ``w``, ``h``, ``err``, ``n_iter``,
+    ``converged``.
 
     Cache misses run together through
     :func:`repro.factorization.kernels.batched_nmf_fits` in this

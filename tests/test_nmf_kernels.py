@@ -313,6 +313,81 @@ class TestSparsePath:
         assert matrix_digest(asp) != matrix_digest(a)
 
 
+class TestCsrRoute:
+    """A dense Frobenius ``A`` of at least ``CSR_MIN_ELEMENTS`` elements
+    is fitted on its CSR: the bits of an explicit CSR input at any batch
+    composition, within ulps of the dense loops; KL and smaller matrices
+    stay on the dense path, bit-equal to the loops."""
+
+    @pytest.fixture(scope="class")
+    def routed(self):
+        rng = np.random.default_rng(24)
+        a = (rng.random((256, 512)) < 0.09).astype(float)
+        assert a.size == kernels.CSR_MIN_ELEMENTS
+        return a
+
+    @pytest.mark.parametrize("solver", ["hals", "mu"])
+    def test_equals_explicit_csr_without_dense_residual(self, routed, solver):
+        specs = nmf_restart_specs(routed, 4, seed=5, solver=solver,
+                                  n_restarts=3, max_iter=60)
+        got = batched_nmf_fits(routed, specs)
+        assert runtime.metrics.get("kernel.dense_residual_evals") == 0
+        assert runtime.metrics.get("kernel.gram_objective_evals") > 0
+        assert_bundles_bit_equal(
+            got, batched_nmf_fits(scipy.sparse.csr_array(routed), specs)
+        )
+        assert_bundles_bit_equal(estimator_fits(routed, specs), got)
+        assert runtime.metrics.get("kernel.dense_residual_evals") == 0
+
+    def test_batch_composition_cannot_change_bits(self, routed):
+        specs = nmf_restart_specs(routed, 4, seed=6, n_restarts=5, max_iter=60)
+        specs += nmf_restart_specs(routed, 3, seed=7, n_restarts=3, max_iter=60)
+        whole = batched_nmf_fits(routed, specs)
+        alone = [batched_nmf_fits(routed, [spec])[0] for spec in specs]
+        assert_bundles_bit_equal(alone, whole)
+
+    @pytest.mark.parametrize("solver", ["hals", "mu"])
+    def test_within_ulps_of_the_dense_loops(self, routed, solver):
+        specs = nmf_restart_specs(routed, 4, seed=9, solver=solver,
+                                  n_restarts=3)
+        got = batched_nmf_fits(routed, specs)
+        for g, want in zip(got, oracle_fits(routed, specs)):
+            # The golden files' float tolerance: rtol, and rtol * max|x|
+            # for entries near zero.
+            for key in ("w", "h", "err"):
+                np.testing.assert_allclose(
+                    g[key], want[key], rtol=1e-12,
+                    atol=1e-12 * float(np.abs(want[key]).max()),
+                )
+            assert int(g["n_iter"]) == int(want["n_iter"])
+            assert bool(g["converged"]) == bool(want["converged"])
+
+    def test_kl_loss_stays_dense(self, routed):
+        specs = nmf_restart_specs(routed, 3, seed=2, solver="mu",
+                                  loss="kullback-leibler", n_restarts=2,
+                                  max_iter=20)
+        assert_engine_matches_oracle(routed, specs)
+        assert runtime.metrics.get("kernel.gram_objective_evals") == 0
+
+    def test_just_under_the_threshold_stays_dense(self, routed):
+        a = np.ascontiguousarray(routed[:, :-1])
+        assert a.size < kernels.CSR_MIN_ELEMENTS
+        specs = nmf_restart_specs(a, 4, seed=5, n_restarts=2, max_iter=60)
+        assert_engine_matches_oracle(a, specs)
+        assert runtime.metrics.get("kernel.gram_objective_evals") == 0
+
+    def test_disk_cache_cold_warm_and_uncached_agree(self, routed, tmp_path):
+        specs = nmf_restart_specs(routed, 4, seed=8, n_restarts=2, max_iter=60)
+        cold = run_nmf_fits(routed, specs, cache=ResultCache(cache_dir=tmp_path))
+        warm_cache = ResultCache(cache_dir=tmp_path)  # empty memory tier
+        warm = run_nmf_fits(routed, specs, cache=warm_cache)
+        assert warm_cache.stats.disk_hits == len(specs)
+        assert_bundles_bit_equal(warm, cold)
+        assert_bundles_bit_equal(
+            run_nmf_fits(routed, specs, use_cache=False), cold
+        )
+
+
 class TestKernelResolution:
     """``run_nmf_fits``' one dispatch rule: every cache miss of a batch
     runs through the in-process stacked engine."""

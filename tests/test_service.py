@@ -32,6 +32,8 @@ import repro.runtime as runtime
 import repro.service.broker as broker_mod
 from repro.analysis import analyze_flavors, build_course_matrix, type_courses
 from repro.anchors.recommender import recommend_for_course
+from repro.corpus import generate_corpus, synthetic_roster
+from repro.factorization.kernels import CSR_MIN_ELEMENTS
 from repro.factorization.nmf import nmf_restart_specs
 from repro.materials import CourseLabel, coverage
 from repro.runtime import run_nmf_fits
@@ -544,6 +546,61 @@ class TestBitIdentity:
             )
             assert doc["reconstruction_err"] == direct.reconstruction_err
             assert doc["w"] == _json_roundtrip(direct.w.tolist())
+
+
+@pytest.fixture(scope="module")
+def routed_service(dataset):
+    """A service whose full course matrix is fitted on its CSR."""
+    tree = dataset[0]
+    courses = generate_corpus(
+        tree, seed=1, roster=synthetic_roster(200, seed=1)
+    )
+    state = ServiceState(tree, courses, config=ServiceConfig(n_shards=2))
+    assert state.matrix.matrix.size >= CSR_MIN_ELEMENTS
+    with ReproService(state) as svc:
+        yield svc
+
+
+class TestCsrRoutedCorpus:
+    def test_coalesced_documents_equal_direct_and_degraded(
+        self, routed_service, nmf_gate
+    ):
+        """/typing and unlabelled /flavors coalesce into one CSR-routed
+        fit; each document equals its own direct fit, and the degraded
+        path serves the same document from the cache that fit filled."""
+        svc = routed_service
+        requests = [
+            ("/typing", {"k": 4, "seed": 31, "n_restarts": 2}),
+            ("/typing", {"k": 4, "seed": 32, "n_restarts": 2}),
+            ("/flavors", {"k": 3, "seed": 33, "n_restarts": 2}),
+            ("/flavors", {"k": 4, "seed": 34, "n_restarts": 2}),
+        ]
+
+        def fetch(request):
+            with ServiceClient(*svc.address) as c:
+                return c.post(*request)
+
+        with ThreadPoolExecutor(max_workers=len(requests)) as pool:
+            with nmf_gate.hold(_occupy_nmf_lane(svc)):
+                futs = [pool.submit(fetch, r) for r in requests]
+                _wait_until(
+                    lambda: _queued(svc.broker) == len(requests), "all queued"
+                )
+            served = [f.result(timeout=120) for f in futs]
+        assert nmf_gate.calls == [2, 8]  # occupant, then one batch of 4 jobs
+        assert metrics.get("kernel.dense_residual_evals") == 0
+        assert metrics.get("kernel.gram_objective_evals") > 0
+        for (path, body), (status, doc) in zip(requests, served):
+            assert status == 200
+            if path == "/typing":
+                job = svc.state.typing_job(body)
+            else:
+                job = svc.state.flavors_job(body)
+            bundles = run_nmf_fits(job.matrix, job.specs, use_cache=False)
+            assert doc == _json_roundtrip(job.finish(bundles))
+            degraded = _json_roundtrip(svc.state.degraded_nmf(job))
+            assert degraded.pop("degraded") is True
+            assert degraded == doc
 
 
 # -- HTTP surface ------------------------------------------------------------
