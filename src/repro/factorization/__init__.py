@@ -17,8 +17,8 @@ is self-contained:
 * :class:`SpectralCoclustering` — the bi-clustered matrix view (§3.1.1).
 * :func:`batched_nmf_fits` — vectorized multi-restart NMF (stacked tensor
   updates, sparse-aware hot loops), bit-identical to one :class:`NMF` fit
-  per restart; :func:`outofcore_nmf_fits` streams a memory-mapped ``A``
-  in row blocks.
+  per restart; :func:`outofcore_nmf_fits` reads a memory-mapped ``A``
+  once, in row blocks, into a CSR for that engine.
 """
 
 from repro.factorization.nmf import NMF, nndsvd_init

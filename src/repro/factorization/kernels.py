@@ -9,8 +9,8 @@ advances **all runs at once** with broadcasted ``matmul`` updates.  It is
 the only NMF solver in the package: :meth:`NMF.fit_transform
 <repro.factorization.nmf.NMF.fit_transform>` solves a one-run stack,
 :func:`batched_nmf_fits` stacks a batch, and the out-of-core solver in
-:mod:`repro.factorization.outofcore` drives the same convergence loop
-with a row-blocked update.
+:mod:`repro.factorization.outofcore` reads a memory-mapped ``A`` into a
+CSR and hands it to :func:`batched_nmf_fits`.
 
 Guarantees and mechanics:
 
@@ -418,9 +418,11 @@ def _solve_stacked(
     """Solve one homogeneous group of runs, chunked to the memory budget.
 
     ``a`` is validated input (see :func:`validate_input`) and the starts
-    are resolved; ``pair`` replaces the in-memory ``(step, errors)``
-    pair (the out-of-core solver passes a row-blocked one).  Each run is
-    charged its share of its chunk's wall time under ``nmf.fit``.
+    are resolved; ``pair`` replaces the ``(step, errors)`` pair
+    :func:`_step_pair` would choose (``benchmarks/bench_nmf_kernels.py``
+    passes dense steps to time a matrix past the CSR threshold on the
+    dense path).  Each run is charged its share of its chunk's wall time
+    under ``nmf.fit``.
     """
     is_sparse = sparse.issparse(a)
     if is_sparse and model.loss != "frobenius":

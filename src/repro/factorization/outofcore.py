@@ -1,45 +1,43 @@
-"""Out-of-core online NMF: multiplicative updates over row blocks.
+"""Out-of-core NMF: read a memory-mapped incidence once, fit its CSR.
 
-The in-memory engine needs the full dense ``A`` (and a dense residual)
-in RAM.  At 100k+ materials × the CS2013 tag universe that is hundreds
-of megabytes per copy — and at 1M rows it simply does not fit.  This
-module factorizes ``A`` streamed from a memory-mapped ``.npy`` file (or
-any dense array) without ever materializing more than one row block:
+The in-memory engine needs the full dense ``A`` in RAM.  At 100k+
+materials × the CS2013 tag universe that is hundreds of megabytes per
+copy — and at 1M rows it simply does not fit.  This module fits ``A``
+from a memory-mapped ``.npy`` file (or any dense array) without holding
+more than one row block of it.  ``A`` is the material × tag 0/1
+incidence, under 1% ones at scale, so its nonzeros take a small
+fraction of its dense size:
 
-* every GEMM of the MU update decomposes over row blocks —
-  ``W.T @ A = Σ_b W_b.T @ A_b`` and ``W.T @ W = Σ_b W_b.T @ W_b`` for the
-  H update, and the W update touches each ``W_b`` with only ``A_b`` and
-  the shared ``H @ H.T``;
-* the Frobenius objective accumulates per-block squared residuals;
-* after each block the mapped pages are dropped
-  (``madvise(MADV_DONTNEED)``), so resident memory stays O(block +
-  factors), not O(A), even mid-pass.
+* ``A`` is read once, row block by row block.  Each block's nonzeros
+  join one CSR, and the block's mapped pages are dropped
+  (``madvise(MADV_DONTNEED)``) before the next block is read;
+* every spec is then solved in one
+  :func:`~repro.factorization.kernels.batched_nmf_fits` call on that
+  CSR.
 
-The blocked update is a ``(step, errors)`` pair for the engine's
-convergence loop (:mod:`repro.factorization.kernels`), so the stopping
-rule and the final-error rule are the in-memory ones.
+Resident memory is O(block + nnz + factors), not O(A).  A NaN, an
+infinity or a negative entry is a nonzero, so the engine's check of the
+CSR's values covers the whole matrix.
 
-**Bit-identity contract.**  When ``A`` fits in one block (its element
-count is within ``kernels.ELEMENT_BUDGET``), the solve *is* the
-in-memory engine — results are bit-identical to
-:func:`repro.runtime.run_nmf_fits`, so the content-addressed cache stays
-oblivious to which solver filled it.  With multiple blocks the update is
-the same mathematical fixed point computed in a different summation
-order; results agree to within float accumulation error (``allclose``),
-and the cache keys are unchanged — pick a budget per deployment, not per
-call, if bit-stable caches matter.
+**Bit-identity contract.**  Results are the same bits as
+:func:`repro.runtime.run_nmf_fits` on the dense ``A`` (``use_cache=False``)
+for any ``budget`` and any number of blocks.  The engine fits a dense
+``A`` of ``kernels.CSR_MIN_ELEMENTS`` elements or more on its CSR, and the
+blocks' CSR is that CSR; a smaller ``A`` is read whole and solved dense,
+as the engine would.  The content-addressed cache therefore stays
+oblivious to which entry point filled it.
 """
 
 from __future__ import annotations
 
 import mmap
-from typing import Any, Mapping, Sequence
+from typing import Any, Iterable, Mapping, Sequence
 
 import numpy as np
 import scipy.sparse
 
 from repro.factorization import kernels
-from repro.factorization.nmf import _EPS, NMF
+from repro.factorization.nmf import NMF
 from repro.runtime.metrics import metrics
 
 
@@ -74,65 +72,13 @@ def _drop_pages(a: np.ndarray) -> None:
         pass
 
 
-def _blocked_error(
-    a: np.ndarray, w: np.ndarray, h: np.ndarray, blocks: list[tuple[int, int]]
-) -> float:
-    """Frobenius error over row blocks (multi-block accumulation order)."""
-    acc = 0.0
+def _read_csr(a: np.ndarray, blocks: list[tuple[int, int]]) -> scipy.sparse.csr_array:
+    """The CSR of ``a``, read one row block at a time."""
+    parts = []
     for b0, b1 in blocks:
-        resid = np.asarray(a[b0:b1]) - w[b0:b1] @ h
-        flat = resid.ravel()
-        acc += float(np.dot(flat, flat))
+        parts.append(scipy.sparse.csr_array(np.asarray(a[b0:b1], dtype=np.float64)))
         _drop_pages(a)
-    return float(np.sqrt(acc))
-
-
-def _blocked_mu_pair(
-    a: np.ndarray, model: NMF, blocks: list[tuple[int, int]]
-) -> tuple[kernels.Step, kernels.Errors]:
-    """Row-blocked MU Frobenius ``(step, errors)`` for the engine loop."""
-    l2, l1, k = model.l2_reg, model.l1_reg, model.n_components
-
-    def step(w_act: np.ndarray, h_act: np.ndarray) -> None:
-        for w, h in zip(w_act, h_act):
-            wta = np.zeros((k, h.shape[1]))
-            wtw = np.zeros((k, k))
-            for b0, b1 in blocks:
-                a_blk = np.asarray(a[b0:b1])
-                w_blk = w[b0:b1]
-                wta += w_blk.T @ a_blk
-                wtw += w_blk.T @ w_blk
-                # Drop after every *block*, not every pass: resident pages
-                # of ``a`` stay O(block) even while a pass walks the whole
-                # file (clean pages re-fault from the page cache for free).
-                _drop_pages(a)
-            h *= wta / (wtw @ h + l2 * h + l1 + _EPS)
-            hht = h @ h.T
-            for b0, b1 in blocks:
-                a_blk = np.asarray(a[b0:b1])
-                w_blk = w[b0:b1]
-                w_blk *= (a_blk @ h.T) / (w_blk @ hht + l2 * w_blk + l1 + _EPS)
-                _drop_pages(a)
-
-    def errors(w_stack: np.ndarray, h_stack: np.ndarray) -> np.ndarray:
-        return np.array(
-            [_blocked_error(a, w, h, blocks) for w, h in zip(w_stack, h_stack)]
-        )
-
-    return step, errors
-
-
-def _check_blocked(a: np.ndarray, blocks: list[tuple[int, int]]) -> None:
-    """Blocked counterpart of the in-memory finite/non-negative checks."""
-    if not isinstance(a, np.ndarray) or a.ndim != 2:
-        raise ValueError("A must be a 2-D array")
-    for b0, b1 in blocks:
-        blk = np.asarray(a[b0:b1])
-        if not np.isfinite(blk).all():
-            raise ValueError("A must not contain NaN or infinite entries")
-        if np.any(blk < 0):
-            raise ValueError("A must be non-negative")
-        _drop_pages(a)
+    return scipy.sparse.vstack(parts, format="csr")
 
 
 def outofcore_nmf_fits(
@@ -141,25 +87,25 @@ def outofcore_nmf_fits(
     *,
     budget: int | None = None,
 ) -> list[dict[str, np.ndarray]]:
-    """Fit NMF specs against ``a`` streamed in row blocks.
+    """Fit NMF specs against ``a``, read once in row blocks.
 
-    ``a`` is a dense 2-D float array — typically an ``np.memmap`` over a
-    ``.npy`` file (see :func:`write_incidence_memmap`) whose dense size
+    ``a`` is a dense 2-D 0/1 incidence — typically an ``np.memmap`` over
+    a ``.npy`` file (see :func:`write_incidence_memmap`) whose dense size
     exceeds RAM.  Specs use the :func:`repro.runtime.run_nmf_fits`
     format and must be fully deterministic: ``solver="mu"``,
     ``loss="frobenius"``, and ``init="custom"`` with pre-drawn ``W0`` /
-    ``H0`` (data-dependent inits would need their own out-of-core pass).
-    Returns bundles shaped exactly like the other kernels' (``w``, ``h``,
-    ``err``, ``n_iter``, ``converged``).
+    ``H0``.  ``budget`` caps the elements of one row block (default
+    ``kernels.ELEMENT_BUDGET``), and so the memory a block takes; it does
+    not change results.  Returns the bundles ``run_nmf_fits`` returns for
+    the dense ``a``, bit for bit.
     """
     if scipy.sparse.issparse(a):
         raise TypeError(
             "outofcore_nmf_fits expects a dense (optionally memory-mapped) "
             "array; sparse input already fits through the sparse kernels"
         )
-    blocks = row_blocks(a.shape[0], a.shape[1], budget)
-    _check_blocked(a, blocks)
-    out: list[dict[str, np.ndarray]] = []
+    if not isinstance(a, np.ndarray) or a.ndim != 2:
+        raise ValueError("A must be a 2-D array")
     for spec in specs:
         params = {key: v for key, v in spec.items() if key not in ("W0", "H0")}
         model = NMF(**params)
@@ -173,12 +119,50 @@ def outofcore_nmf_fits(
                 "out-of-core kernel requires init='custom' with pre-drawn "
                 "W0/H0"
             )
-        with metrics.timer("oocnmf.fit"):
-            w, h = model._initialize(a, spec.get("W0"), spec.get("H0"))
-            pair = None if len(blocks) == 1 else _blocked_mu_pair(a, model, blocks)
-            out.extend(kernels._solve_stacked(a, model, [w], [h], pair))
-        metrics.inc("oocnmf.fits")
-        metrics.inc("oocnmf.blocks", len(blocks))
+    with metrics.timer("oocnmf.fit"):
+        if a.size < kernels.CSR_MIN_ELEMENTS:
+            blocks, a_fit = [(0, a.shape[0])], a
+        else:
+            blocks = row_blocks(a.shape[0], a.shape[1], budget)
+            a_fit = _read_csr(a, blocks)
+        out = kernels.batched_nmf_fits(a_fit, specs)
+    metrics.inc("oocnmf.fits", len(specs))
+    metrics.inc("oocnmf.blocks", len(blocks))
+    return out
+
+
+def _write_incidence(
+    path, rows: Iterable[Iterable[str]], n: int, universe: list[str],
+    block_rows: int,
+) -> np.memmap:
+    """Write ``n`` rows of tags as a 0/1 ``.npy`` memmap over ``universe``.
+
+    The new file maps as zeros, so only the ones are written, straight
+    into the mapping, ``block_rows`` rows at a time; each block's pages
+    are dropped once written (they stay in the page cache until the
+    closing flush writes them back).
+    """
+    tag_col = {t: j for j, t in enumerate(universe)}
+    out = np.lib.format.open_memmap(
+        path, mode="w+", dtype=np.float64, shape=(n, max(len(universe), 1))
+    )
+    row_idx: list[int] = []
+    col_idx: list[int] = []
+
+    def put() -> None:
+        out[row_idx, col_idx] = 1.0
+        _drop_pages(out)
+        row_idx.clear()
+        col_idx.clear()
+
+    for i, tags in enumerate(rows):
+        for t in tags:
+            row_idx.append(i)
+            col_idx.append(tag_col[t])
+        if (i + 1) % block_rows == 0:
+            put()
+    put()
+    out.flush()
     return out
 
 
@@ -192,35 +176,18 @@ def write_incidence_memmap(
     universe — the same convention as
     :func:`repro.materials.similarity.incidence_matrix` — so the file is
     reproducible for a given corpus regardless of shard layout.  Rows are
-    written in insertion order, ``block_rows`` at a time.  Returns the
-    writable memmap (flushed) and the universe; reopen with
-    ``np.load(path, mmap_mode="r")`` for read-only streaming.
+    written in insertion order, ``block_rows`` at a time, with no dense
+    staging copy.  Returns the writable memmap (flushed) and the
+    universe; reopen with ``np.load(path, mmap_mode="r")`` for read-only
+    streaming.
     """
     if block_rows < 1:
         raise ValueError(f"block_rows must be >= 1, got {block_rows}")
     universe = sorted({t for m in repo.materials() for t in m.mappings})
-    tag_col = {t: j for j, t in enumerate(universe)}
-    n = repo.n_materials
-    shape = (n, max(len(universe), 1))
-    out = np.lib.format.open_memmap(
-        path, mode="w+", dtype=np.float64, shape=shape
+    out = _write_incidence(
+        path, (m.mappings for m in repo.materials()), repo.n_materials,
+        universe, block_rows,
     )
-    block = np.zeros((min(block_rows, max(n, 1)), shape[1]))
-    filled = 0
-    base = 0
-    for m in repo.materials():
-        for t in m.mappings:
-            block[filled, tag_col[t]] = 1.0
-        filled += 1
-        if filled == block.shape[0]:
-            out[base : base + filled] = block[:filled]
-            base += filled
-            filled = 0
-            block[:] = 0.0
-    if filled:
-        out[base : base + filled] = block[:filled]
-    out.flush()
-    _drop_pages(out)
     return out, universe
 
 
@@ -272,8 +239,8 @@ def stream_incidence_memmap(
     JSONL corpus twice and holds only ids and tag strings:
 
     * pass 1 collects the tag universe and counts rows;
-    * pass 2 fills ``block_rows``-row blocks and flushes each to the
-      memmap.
+    * pass 2 writes the ones of each ``block_rows``-row block straight
+      into the memmap, as :func:`write_incidence_memmap` does.
 
     Columns are the **sorted** tag universe — the same convention as
     :func:`write_incidence_memmap` — so for a duplicate-free corpus the
@@ -290,27 +257,10 @@ def stream_incidence_memmap(
         universe_set.update(mappings)
         n += 1
     universe = sorted(universe_set)
-    tag_col = {t: j for j, t in enumerate(universe)}
-    shape = (n, max(len(universe), 1))
-    out = np.lib.format.open_memmap(
-        path, mode="w+", dtype=np.float64, shape=shape
-    )
-    block = np.zeros((min(block_rows, max(n, 1)), shape[1]))
-    filled = 0
-    base = 0
     with metrics.timer("oocnmf.incidence.stream"):
-        for _, mappings in _iter_jsonl_materials(corpus_path):
-            for t in mappings:
-                block[filled, tag_col[t]] = 1.0
-            filled += 1
-            if filled == block.shape[0]:
-                out[base : base + filled] = block[:filled]
-                base += filled
-                filled = 0
-                block[:] = 0.0
-        if filled:
-            out[base : base + filled] = block[:filled]
-    out.flush()
-    _drop_pages(out)
+        out = _write_incidence(
+            path, (m for _, m in _iter_jsonl_materials(corpus_path)), n,
+            universe, block_rows,
+        )
     metrics.inc("oocnmf.incidence.stream_rows", n)
     return out, universe

@@ -4,11 +4,8 @@
 solves every fit with the stacked engine of
 :mod:`repro.factorization.kernels`.  These loops are what that engine
 must reproduce bit for bit: MU (Frobenius and KL) and HALS on the full
-dense matrix, and the multi-block MU update over row blocks that
-:func:`repro.factorization.outofcore.outofcore_nmf_fits` runs on matrices
-larger than its element budget.  Tests compare bundles from the engine
-against :func:`oracle_fits` / :func:`oracle_blocked_fits` with exact
-equality.
+dense matrix.  Tests compare bundles from the engine against
+:func:`oracle_fits` with exact equality.
 
 *Guideline-tree queries and the course matrix.*  A tree memoizes its
 preorder tags and a node → area index; :func:`oracle_tags` and
@@ -33,7 +30,6 @@ import numpy as np
 from repro.analysis.matrix import CourseMatrix
 from repro.factorization.kernels import _frobenius_error, _kl_divergence
 from repro.factorization.nmf import NMF
-from repro.factorization.outofcore import _blocked_error, _drop_pages
 from repro.materials.course import Course, CourseLabel
 from repro.ontology.node import NodeKind, OntologyNode
 from repro.ontology.tree import GuidelineTree
@@ -119,50 +115,6 @@ def _solve_hals(
     return w, h, last_err
 
 
-def _blocked_mu(
-    a: np.ndarray,
-    model: NMF,
-    w: np.ndarray,
-    h: np.ndarray,
-    blocks: list[tuple[int, int]],
-) -> tuple[np.ndarray, np.ndarray, float | None, int, bool]:
-    """Multi-block MU over row blocks of ``a``."""
-    l2, l1 = model.l2_reg, model.l1_reg
-    err_init = _blocked_error(a, w, h, blocks)
-    _drop_pages(a)
-    err_prev = err_init
-    last_err: float | None = None
-    converged = False
-    n_iter = 0
-    k = w.shape[1]
-    for it in range(1, model.max_iter + 1):
-        wta = np.zeros((k, h.shape[1]))
-        wtw = np.zeros((k, k))
-        for b0, b1 in blocks:
-            a_blk = np.asarray(a[b0:b1])
-            w_blk = w[b0:b1]
-            wta += w_blk.T @ a_blk
-            wtw += w_blk.T @ w_blk
-            _drop_pages(a)
-        h *= wta / (wtw @ h + l2 * h + l1 + _EPS)
-        hht = h @ h.T
-        for b0, b1 in blocks:
-            a_blk = np.asarray(a[b0:b1])
-            w_blk = w[b0:b1]
-            w_blk *= (a_blk @ h.T) / (w_blk @ hht + l2 * w_blk + l1 + _EPS)
-            _drop_pages(a)
-        n_iter = it
-        if model.tol > 0 and it % model.check_every == 0:
-            err = _blocked_error(a, w, h, blocks)
-            _drop_pages(a)
-            if (err_prev - err) / max(err_init, _EPS) < model.tol:
-                converged = True
-                last_err = err
-                break
-            err_prev = err
-    return w, h, last_err, n_iter, converged
-
-
 def _model_and_start(
     a: np.ndarray, spec: Mapping[str, Any]
 ) -> tuple[NMF, np.ndarray, np.ndarray]:
@@ -191,22 +143,6 @@ def oracle_fits(a: np.ndarray, specs: Sequence[Mapping[str, Any]]) -> list[dict]
         w, h, last_err = solve(model, a, w, h)
         err = last_err if last_err is not None else _objective(model, a, w, h)
         out.append(_bundle(w, h, err, model.n_iter_, model.converged_))
-    return out
-
-
-def oracle_blocked_fits(
-    a: np.ndarray,
-    specs: Sequence[Mapping[str, Any]],
-    blocks: list[tuple[int, int]],
-) -> list[dict]:
-    """One reference multi-block MU fit per spec over ``blocks`` of ``a``."""
-    out = []
-    for spec in specs:
-        model, w, h = _model_and_start(a, spec)
-        w, h, last_err, n_iter, converged = _blocked_mu(a, model, w, h, blocks)
-        if last_err is None:
-            last_err = _blocked_error(a, w, h, blocks)
-        out.append(_bundle(w, h, last_err, n_iter, converged))
     return out
 
 

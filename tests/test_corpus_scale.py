@@ -6,15 +6,15 @@ Covers the bounded-memory paths that make six-figure corpora tractable:
 * the JSONL course format round-trips exactly and degrades tolerantly;
 * memory-mapped arrays hash to the same cache digests as in-RAM copies,
   so the content-addressed NMF cache is storage-oblivious;
-* the out-of-core solve is bit-identical to the in-memory engine when
-  ``A`` fits one block, bit-identical to the reference row-blocked MU
-  loop (``tests/oracles.py``) under several blocks, and allclose to the
-  in-memory engine under any blocking.
+* the out-of-core solve is bit-identical to the in-memory engine
+  (``run_nmf_fits``) under any blocking, and the incidence writers stage
+  no dense copy of the matrix.
 """
 
 from __future__ import annotations
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -32,13 +32,14 @@ from repro.factorization import (
     stream_incidence_memmap,
     write_incidence_memmap,
 )
+from repro.factorization.kernels import CSR_MIN_ELEMENTS
 from repro.factorization.nmf import nmf_restart_specs
 from repro.materials import MaterialRepository, ShardedMaterialRepository
 from repro.materials.similarity import incidence_matrix
 from repro.runtime import run_nmf_fits
 from repro.runtime.cache import ResultCache, array_digest, matrix_digest
 from repro.runtime.metrics import metrics
-from tests.oracles import oracle_blocked_fits, oracle_fits
+from tests.oracles import oracle_fits
 
 
 def assert_bit_equal(got, want):
@@ -48,9 +49,30 @@ def assert_bit_equal(got, want):
             assert np.array_equal(x[key], y[key]), key
 
 
+def _traced_peak(writer, source, path):
+    """The writer's memmap and the peak bytes it allocated meanwhile.
+
+    The mapped file's pages are not allocations, so the peak counts
+    what the writer holds besides them (a dense staging block would
+    show here).
+    """
+    tracemalloc.start()
+    try:
+        out, _ = writer(source, path)
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 @pytest.fixture(scope="module")
 def stream_courses(cs2013):
     return list(generate_stream(cs2013, seed=7, n_courses=24, batch=5))
+
+
+@pytest.fixture(scope="module")
+def mb_courses(cs2013):
+    """A corpus whose dense incidence takes several MB (1,506 × 670)."""
+    return list(generate_stream(cs2013, seed=7, n_materials=1500))
 
 
 class TestGenerateStream:
@@ -170,6 +192,15 @@ class TestOutOfCoreNMF:
         rng = np.random.default_rng(8)
         return (rng.random((60, 23)) < 0.25).astype(float)
 
+    @pytest.fixture()
+    def large(self):
+        """A 0/1 matrix past the engine's CSR threshold, so the out-of-core
+        solve reads it block by block into a CSR."""
+        rng = np.random.default_rng(9)
+        a = (rng.random((400, 330)) < 0.05).astype(float)
+        assert a.size >= CSR_MIN_ELEMENTS
+        return a
+
     def test_single_block_bit_identical_to_serial(self, binary):
         assert len(row_blocks(*binary.shape)) == 1
         for tol in (1e-4, 0.0):
@@ -179,23 +210,29 @@ class TestOutOfCoreNMF:
             assert_bit_equal(online, oracle_fits(binary, specs))
             assert_bit_equal(online, run_nmf_fits(binary, specs, use_cache=False))
 
-    def test_multi_block_allclose(self, binary):
-        budget = binary.shape[1] * 7
-        blocks = row_blocks(*binary.shape, budget=budget)
-        assert len(blocks) > 1
-        for tol in (1e-4, 0.0):
-            specs = nmf_restart_specs(binary, 4, seed=2, solver="mu",
-                                      n_restarts=2, tol=tol)
-            in_memory = run_nmf_fits(binary, specs, use_cache=False)
-            metrics.reset()
-            blocked = outofcore_nmf_fits(binary, specs, budget=budget)
-            assert metrics.get("oocnmf.blocks") == len(blocks) * len(specs)
-            assert metrics.get("oocnmf.fits") == len(specs)
-            assert_bit_equal(blocked, oracle_blocked_fits(binary, specs, blocks))
-            for x, y in zip(in_memory, blocked):
-                assert np.allclose(x["w"], y["w"], atol=1e-8)
-                assert np.allclose(x["h"], y["h"], atol=1e-8)
-                assert np.allclose(float(x["err"]), float(y["err"]), atol=1e-8)
+    def test_any_budget_bit_identical_to_run_nmf_fits(self, binary, large,
+                                                      tmp_path):
+        for a in (binary, large):
+            path = tmp_path / f"a-{a.shape[0]}.npy"
+            np.save(path, a)
+            mapped = np.load(path, mmap_mode="r")
+            # one block, several blocks, one row per block
+            budgets = (None, a.shape[1] * 97, 1)
+            for tol in (1e-4, 0.0):
+                specs = nmf_restart_specs(a, 4, seed=2, solver="mu",
+                                          n_restarts=2, tol=tol, max_iter=60)
+                in_memory = run_nmf_fits(a, specs, use_cache=False)
+                for budget in budgets:
+                    for source in (a, mapped):
+                        metrics.reset()
+                        got = outofcore_nmf_fits(source, specs, budget=budget)
+                        assert_bit_equal(got, in_memory)
+                        assert metrics.get("oocnmf.fits") == len(specs)
+                        blocks = (len(row_blocks(*a.shape, budget))
+                                  if a is large else 1)
+                        assert metrics.get("oocnmf.blocks") == blocks
+        assert [len(row_blocks(*large.shape, b)) for b in budgets] == [
+            1, 5, 400]
 
     def test_memmap_input_multi_block(self, binary, tmp_path):
         path = tmp_path / "a.npy"
@@ -229,6 +266,29 @@ class TestOutOfCoreNMF:
         with pytest.raises(ValueError, match="non-negative"):
             outofcore_nmf_fits(neg, specs)
 
+    @pytest.mark.parametrize("value, match", [
+        (np.nan, "NaN"), (np.inf, "inf"), (-1.0, "non-negative"),
+    ])
+    def test_bad_entry_in_last_block_raises(self, large, value, match):
+        specs = nmf_restart_specs(large, 2, seed=1, solver="mu")
+        budget = large.shape[1] * 97
+        last = row_blocks(*large.shape, budget)[-1]
+        assert last[0] > 0
+        bad = large.copy()
+        bad[last[1] - 1, -1] = value
+        with pytest.raises(ValueError, match=match):
+            outofcore_nmf_fits(bad, specs, budget=budget)
+
+    def test_block_without_ones_fits(self, large):
+        budget = large.shape[1] * 97
+        b0, b1 = row_blocks(*large.shape, budget)[1]
+        holed = large.copy()
+        holed[b0:b1] = 0.0
+        specs = nmf_restart_specs(holed, 3, seed=4, solver="mu", max_iter=40)
+        got = outofcore_nmf_fits(holed, specs, budget=budget)
+        assert_bit_equal(got, run_nmf_fits(holed, specs, use_cache=False))
+        assert np.isfinite(float(got[0]["err"]))
+
 
 class TestWriteIncidenceMemmap:
     def test_matches_incidence_matrix(self, cs2013, tmp_path, stream_courses):
@@ -243,6 +303,15 @@ class TestWriteIncidenceMemmap:
             assert np.array_equal(np.asarray(out), ref)
             reopened = np.load(path, mmap_mode="r")
             assert np.array_equal(np.asarray(reopened), ref)
+
+    def test_stages_no_dense_copy(self, tmp_path, mb_courses):
+        repo = MaterialRepository()
+        for c in mb_courses:
+            repo.add_course(c)
+        out, peak = _traced_peak(write_incidence_memmap, repo,
+                                 tmp_path / "a.npy")
+        assert out.nbytes > 5e6
+        assert peak < out.nbytes / 8
 
     def test_empty_repo(self, tmp_path):
         out, universe = write_incidence_memmap(
@@ -306,6 +375,14 @@ class TestStreamIncidenceMemmap:
         dense = oracle_fits(a, specs)
         assert np.allclose(ooc[0]["w"], dense[0]["w"])
         assert np.allclose(ooc[0]["h"], dense[0]["h"])
+
+    def test_stages_no_dense_copy(self, tmp_path, mb_courses):
+        jsonl = tmp_path / "corpus.jsonl"
+        save_courses_jsonl(mb_courses, jsonl)
+        out, peak = _traced_peak(stream_incidence_memmap, jsonl,
+                                 tmp_path / "a.npy")
+        assert out.nbytes > 5e6
+        assert peak < out.nbytes / 8
 
     def test_bad_block_rows(self, tmp_path):
         with pytest.raises(ValueError, match=">= 1"):
